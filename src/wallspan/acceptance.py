@@ -60,8 +60,9 @@ class CriterionResult:
     elapsed: float
 
     def line(self) -> str:
+        """One text line; the elapsed time goes here, not into the deterministic details."""
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.cid}: {self.title} -- {self.details}"
+        return f"[{status}] criterion {self.cid}: {self.title} -- {self.details} ({self.elapsed:.3f}s)"
 
 
 @dataclass
@@ -89,9 +90,9 @@ def criterion_clifford_exact() -> CriterionResult:
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < CLIFFORD_BUDGET_S
     details = (
-        f"n = 0..{CLIFFORD_N_MAX}, exact arithmetic, {elapsed:.3f}s"
+        f"n = 0..{CLIFFORD_N_MAX}, exact arithmetic"
         if passed
-        else f"failures: {failures or 'none'}; elapsed {elapsed:.3f}s (budget {CLIFFORD_BUDGET_S}s)"
+        else f"failures: {failures or 'none'} (budget {CLIFFORD_BUDGET_S}s)"
     )
     return CriterionResult(1, "Clifford family exactness", passed, details, elapsed)
 
@@ -105,7 +106,7 @@ def criterion_sign_tables(campaign: CampaignResult) -> CriterionResult:
     elapsed = campaign.timings.signs
     passed = not bad
     details = (
-        f"all observed signs constant and as predicted, {elapsed:.3f}s"
+        "all observed signs constant and as predicted"
         if passed
         else f"mismatches: {bad[:8]}{'...' if len(bad) > 8 else ''}"
     )
@@ -122,9 +123,9 @@ def criterion_independence(campaign: CampaignResult) -> CriterionResult:
     worst = min(c["independence"]["minOfMinRelativeSv"] for c in campaign.report["cases"])
     passed = not bad and elapsed < INDEPENDENCE_BUDGET_S
     details = (
-        f"rank delta everywhere, min relative sv {worst:.3e}, {elapsed:.3f}s"
+        f"rank delta everywhere, min relative sv {worst:.3e}"
         if passed
-        else f"rank failures: {bad or 'none'}; elapsed {elapsed:.3f}s (budget {INDEPENDENCE_BUDGET_S}s)"
+        else f"rank failures: {bad or 'none'} (budget {INDEPENDENCE_BUDGET_S}s)"
     )
     return CriterionResult(3, "pointwise linear independence", passed, details, elapsed)
 
@@ -146,7 +147,7 @@ def criterion_tangency(campaign: CampaignResult) -> CriterionResult:
     elapsed = campaign.timings.well_defined
     passed = not bad
     details = (
-        f"max residual {worst:.3e}, 8 roots of unity pass, {elapsed:.3f}s"
+        f"max residual {worst:.3e}, 8 roots of unity pass"
         if passed
         else f"failures: {bad[:8]}"
     )
@@ -164,9 +165,9 @@ def criterion_rule_out_even() -> CriterionResult:
     elapsed = time.perf_counter() - start
     passed = not bad and elapsed < RULE_OUT_BUDGET_S
     details = (
-        f"pspan <= m+1 certified for m in 1..4, n in {{2,4}}, {elapsed:.3f}s"
+        "pspan <= m+1 certified for m in 1..4, n in {2,4}"
         if passed
-        else f"failures: {bad or 'none'}; elapsed {elapsed:.3f}s (budget {RULE_OUT_BUDGET_S}s)"
+        else f"failures: {bad or 'none'} (budget {RULE_OUT_BUDGET_S}s)"
     )
     return CriterionResult(5, "mod-2 upper bound for n even", passed, details, elapsed)
 

@@ -136,8 +136,13 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             admissible = result.witnesses[-1]
             entry["admissibleMultiset"] = admissible.describe()
         rule_outs.append(entry)
-    upper = (first_ruled_out - 1) if first_ruled_out is not None else p.dim
-    bound_ok = upper >= pspan
+    if first_ruled_out is not None:
+        upper: int | None = first_ruled_out - 1
+    elif k_max == p.dim:
+        upper = p.dim
+    else:
+        upper = None  # a capped scan that rules nothing out leaves the bound undetermined
+    bound_ok = None if upper is None else upper >= pspan
 
     obj: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
@@ -169,9 +174,12 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             lines.append(
                 f"k = {entry['k']:2d}: admissible, witness {entry['admissibleMultiset']}"
             )
-    lines.append(f"sw upper bound = {upper} (pspan = {pspan})")
+    if upper is None:
+        lines.append(f"no k <= {k_max} ruled out; bound not determined (pspan = {pspan})")
+    else:
+        lines.append(f"sw upper bound = {upper} (pspan = {pspan})")
     emit(obj, args.format, "\n".join(lines) + "\n")
-    return 0 if bound_ok else CHECK_FAILED
+    return CHECK_FAILED if bound_ok is False else 0
 
 
 def cmd_clifford(args: argparse.Namespace) -> int:
@@ -255,7 +263,6 @@ def cmd_accept(args: argparse.Namespace) -> int:
                     "title": c.title,
                     "passed": c.passed,
                     "details": c.details,
-                    "elapsedSeconds": round(c.elapsed, 3),
                 }
                 for c in result.criteria
             ],

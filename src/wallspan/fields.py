@@ -29,6 +29,18 @@ delta = 2*nu(n+1) + m + 1 vector fields:
 
 and checks tangency, representative-independence, the quasi-invariance
 signs under both involutions, and linear independence via singular values.
+
+It does so twice.  The per-point functions (`xi_low`, `xi_high`,
+`evaluate_field`, `quasi_invariance_sign`, `check_well_defined`,
+`tangency_residuals`, `independence_report`, ...) take one point and one
+field at a time; they are the reference implementation.  The batched engine
+(`PointBatch`, `evaluate_batch`, `quasi_invariance_signs`,
+`well_defined_batch`, `tangency_residuals_batch`, `svd_ranks`) evaluates all
+delta fields at all S samples of a case as arrays, w (S, delta, n+1),
+u (S, delta, m+1) and mu (S, delta), and runs each check as whole-array work:
+the fields are evaluated afresh at sigma(P), tau(P) and omega*z for each root
+omega, and the ranks come from one stacked SVD.  The campaign harness uses
+the engine; the tests hold it to the reference within 1e-12.
 """
 
 from __future__ import annotations
@@ -296,3 +308,153 @@ def independence_report(
     mat = tangent_matrix([evaluate_field(j, p, family) for j in range(1, delta + 1)])
     rank, min_rel = svd_rank(mat, rel_tol)
     return IndependenceReport(rank=rank, delta=delta, min_relative_sv=min_rel)
+
+
+# -- batched engine ------------------------------------------------------------
+#
+# Each check evaluates the fields afresh at the moved or involuted points;
+# nothing is derived algebraically from the base fields, so a field that is
+# not quasi-invariant or not representative-independent is caught.
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """S points stacked: z (S, n+1) complex, v (S, m+1) real, lam (S,) complex."""
+
+    z: np.ndarray
+    v: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def stack(cls, points: list[TotalSpacePoint]) -> PointBatch:
+        return cls(
+            np.stack([p.z for p in points]),
+            np.stack([p.v for p in points]),
+            np.array([p.lam for p in points], dtype=np.complex128),
+        )
+
+
+@dataclass(frozen=True)
+class FieldBatch:
+    """All delta fields at S points: w (S, delta, n+1), u (S, delta, m+1), mu (S, delta)."""
+
+    w: np.ndarray
+    u: np.ndarray
+    mu: np.ndarray
+
+    def __neg__(self) -> FieldBatch:
+        return FieldBatch(-self.w, -self.u, -self.mu)
+
+    def distance(self, other: FieldBatch) -> np.ndarray:
+        """tangent_distance for every (sample, field), shape (S, delta)."""
+        return np.maximum(
+            np.maximum(np.abs(self.w - other.w).max(axis=-1), np.abs(self.u - other.u).max(axis=-1)),
+            np.abs(self.mu - other.mu),
+        )
+
+    def matrix(self) -> np.ndarray:
+        """tangent_matrix for every sample, shape (S, delta, 2(n+1)+m+3)."""
+        return np.concatenate(
+            [self.w.real, self.w.imag, self.u, self.mu.real[..., None], self.mu.imag[..., None]],
+            axis=-1,
+        )
+
+
+def evaluate_batch(points: PointBatch, family: CliffordFamily) -> FieldBatch:
+    """evaluate_field for every field j = 1..delta at every point, low fields first."""
+    z, v, lam = points.z, points.v, points.lam
+    if family.n != z.shape[1] - 1:
+        raise ValueError(f"family is for n = {family.n}, points have n = {z.shape[1] - 1}")
+    mats = np.stack([a.to_complex() for a in family.matrices])
+    az = np.matmul(z, mats.transpose(0, 2, 1)).transpose(1, 0, 2)  # (S, low, n+1)
+    b = np.einsum("sja,sa->sj", az.conj(), z)  # beta_j(z)
+    eye = np.eye(v.shape[1])
+    t = v[:, :1]  # <v, e_1>
+    low_w = az + b[..., None] * z[:, None, :]
+    low_u = (1j * b).real[..., None] * (eye[0] - t * v)[:, None, :]
+    low_mu = b * t * lam[:, None]
+
+    coeff = v[:, 1:]  # <v, e_j>, j = 2..m+1
+    high_u = eye[1:] - coeff[..., None] * v[:, None, :]
+    high_mu = -1j * coeff * lam[:, None]
+    high_w = np.zeros((z.shape[0], coeff.shape[1], z.shape[1]), dtype=np.complex128)
+    return FieldBatch(
+        np.concatenate([low_w, high_w], axis=1),
+        np.concatenate([low_u, high_u], axis=1),
+        np.concatenate([low_mu, high_mu], axis=1),
+    )
+
+
+def tangency_residuals_batch(points: PointBatch, fields: FieldBatch) -> tuple[np.ndarray, ...]:
+    """tangency_residuals for every (sample, field): three arrays of shape (S, delta)."""
+    return (
+        np.abs(np.einsum("sja,sa->sj", fields.w.conj(), points.z)),
+        np.abs(np.einsum("sja,sa->sj", fields.u, points.v)),
+        np.abs((points.lam[:, None] * fields.mu.conj()).real),
+    )
+
+
+def involution_batch(kind: InvolutionKind, points: PointBatch) -> PointBatch:
+    """apply_involution at every point."""
+    if kind is InvolutionKind.SIGMA:
+        return PointBatch(np.conj(points.z), -points.v, points.lam)
+    v = points.v.copy()
+    v[:, -1] = -v[:, -1]
+    return PointBatch(points.z, v, -points.lam)
+
+
+def differential_batch(kind: InvolutionKind, fields: FieldBatch) -> FieldBatch:
+    """apply_differential for every (sample, field)."""
+    if kind is InvolutionKind.SIGMA:
+        return FieldBatch(np.conj(fields.w), -fields.u, fields.mu)
+    u = fields.u.copy()
+    u[..., -1] = -u[..., -1]
+    return FieldBatch(fields.w, u, -fields.mu)
+
+
+def quasi_invariance_signs(
+    kind: InvolutionKind,
+    points: PointBatch,
+    fields: FieldBatch,
+    family: CliffordFamily,
+    tol: float = INVARIANCE_TOL,
+) -> np.ndarray:
+    """quasi_invariance_sign for every (sample, field), with 0 for no sign.
+
+    `fields` must be evaluate_batch(points, family); the fields are evaluated
+    again at the image points.
+    """
+    pushed = differential_batch(kind, fields)
+    there = evaluate_batch(involution_batch(kind, points), family)
+    plus = pushed.distance(there) <= tol
+    minus = pushed.distance(-there) <= tol
+    return np.where(plus, 1, np.where(minus, -1, 0))
+
+
+def well_defined_batch(
+    points: PointBatch,
+    fields: FieldBatch,
+    family: CliffordFamily,
+    omega: complex,
+    tol: float = TANGENCY_TOL,
+) -> np.ndarray:
+    """check_well_defined for every (sample, field), as a bool array (S, delta).
+
+    `fields` must be evaluate_batch(points, family); the fields are evaluated
+    again at omega * z.
+    """
+    omega = complex(omega)
+    if abs(abs(omega) - 1.0) > POINT_TOL:
+        raise ValueError("omega must lie on the unit circle")
+    moved = evaluate_batch(PointBatch(omega * points.z, points.v, points.lam), family)
+    expected = FieldBatch(omega * fields.w, fields.u, fields.mu)
+    return moved.distance(expected) <= tol
+
+
+def svd_ranks(mats: np.ndarray, rel_tol: float = RANK_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """svd_rank for a stack of matrices: (ranks, smallest/largest singular values)."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    top = sv[:, 0]
+    ranks = np.sum(sv > rel_tol * top[:, None], axis=-1)  # 0 where top == 0
+    with np.errstate(invalid="ignore"):
+        return ranks, np.where(top == 0.0, 0.0, sv[:, -1] / top)

@@ -122,10 +122,6 @@ class CaseTimings:
         self.independence += other.independence
         self.cohomology += other.cohomology
 
-    @property
-    def fields_total(self) -> float:
-        return self.sampling + self.signs + self.well_defined + self.independence
-
 
 def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
     """All four check categories for one (m, n); returns (record, timings)."""
@@ -170,59 +166,50 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
         "claim": "A_j A_k = -A_k A_j; A_j* = -A_j; conj(A_j) = eps_j A_j (exact)",
     }
 
-    # sampled numerical checks
+    # sampled numerical checks, batched over the samples of the case
     delta = params.delta
     kinds = (fl.InvolutionKind.SIGMA, fl.InvolutionKind.TAU)
-    observed: dict[tuple[int, str], set[int | None]] = {
-        (j, kind.value): set() for j in range(1, delta + 1) for kind in kinds
+
+    t0 = time.perf_counter()
+    points = fl.PointBatch.stack(
+        [
+            fl.sample_point(n, m, fl.stream(config.seed, m, n, i))
+            for i in range(config.samples_per_case)
+        ]
+    )
+    timings.sampling += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    base = fl.evaluate_batch(points, family)
+    max_residuals = [float(r.max()) for r in fl.tangency_residuals_batch(points, base)]
+    ranks, rel = fl.svd_ranks(base.matrix(), tol.rank_rel)
+    ranks_ok = bool((ranks == delta).all())
+    min_rel_sv = float(rel.min())
+    max_rel_sv = float(rel.max())
+    timings.independence += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    signs = {
+        kind: fl.quasi_invariance_signs(kind, points, base, family, tol.invariance)
+        for kind in kinds
     }
-    max_residuals = [0.0, 0.0, 0.0]
-    well_defined_ok = True
-    ranks_ok = True
-    min_rel_sv = math.inf
-    max_rel_sv = 0.0
+    timings.signs += time.perf_counter() - t0
 
-    for i in range(config.samples_per_case):
-        t0 = time.perf_counter()
-        rng = fl.stream(config.seed, m, n, i)
-        point = fl.sample_point(n, m, rng)
-        timings.sampling += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        tangents = [fl.evaluate_field(j, point, family) for j in range(1, delta + 1)]
-        for t in tangents:
-            res = fl.tangency_residuals(point, t)
-            for slot in range(3):
-                max_residuals[slot] = max(max_residuals[slot], res[slot])
-        mat = fl.tangent_matrix(tangents)
-        rank, rel = fl.svd_rank(mat, tol.rank_rel)
-        ranks_ok = ranks_ok and rank == delta
-        min_rel_sv = min(min_rel_sv, rel)
-        max_rel_sv = max(max_rel_sv, rel)
-        timings.independence += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for j in range(1, delta + 1):
-            for kind in kinds:
-                sign = fl.quasi_invariance_sign(j, kind, point, family, tol.invariance)
-                observed[(j, kind.value)].add(sign)
-        timings.signs += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for j in range(1, delta + 1):
-            for omega in EIGHTH_ROOTS:
-                if not fl.check_well_defined(j, point, family, omega, tol.tangency):
-                    well_defined_ok = False
-        timings.well_defined += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    well_defined_ok = all(
+        fl.well_defined_batch(points, base, family, omega, tol.tangency).all()
+        for omega in EIGHTH_ROOTS
+    )
+    timings.well_defined += time.perf_counter() - t0
 
     sign_entries = []
     signs_all_ok = True
     for j in range(1, delta + 1):
         for kind in kinds:
             expected = fl.expected_quasi_sign(j, kind, params.nu, m)
-            seen = observed[(j, kind.value)]
+            seen = set(signs[kind][:, j - 1].tolist())
             constant = len(seen) == 1
-            value = next(iter(seen)) if constant else None
+            value = (next(iter(seen)) or None) if constant else None  # 0: no sign
             passed = constant and value == expected
             signs_all_ok = signs_all_ok and passed
             sign_entries.append(

@@ -1,5 +1,7 @@
 """Numerical field checks: tangency, signs, independence, representative freedom."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,25 @@ from wallspan.clifford import beta, build_family
 from wallspan.fields import (
     AmbientTangent,
     InvolutionKind,
+    PointBatch,
     TotalSpacePoint,
     apply_differential,
     apply_involution,
     check_well_defined,
+    evaluate_batch,
     evaluate_field,
     expected_quasi_sign,
     independence_report,
     quasi_invariance_sign,
+    quasi_invariance_signs,
     sample_point,
     stream,
     svd_rank,
+    svd_ranks,
     tangency_residuals,
+    tangency_residuals_batch,
     tangent_matrix,
+    well_defined_batch,
     xi_high,
     xi_low,
 )
@@ -292,3 +300,77 @@ def test_tangent_negation():
     t = AmbientTangent(np.array([1j]), np.array([0.5, -0.5]), 2j)
     nt = -t
     assert nt.mu == -2j and np.allclose(nt.u, [-0.5, 0.5])
+
+
+# -- batched engine against the per-point reference -----------------------------
+
+# nu(n+1) = 0, 1, 2, 3 for n = 0, 1, 3, 7
+ENGINE_GRID = [(m, n) for m in (1, 4) for n in (0, 1, 3, 7)]
+ENGINE_SAMPLES = 6
+EIGHTH_ROOTS = [np.exp(2j * np.pi * k / 8) for k in range(8)]
+
+
+def _assert_engine_matches_reference(m, family):
+    """Every (sample, j) of every batched check equals the per-point function."""
+    n = family.n
+    delta = family.count + m
+    points = [_point(m, n, index=i) for i in range(ENGINE_SAMPLES)]
+    batch = PointBatch.stack(points)
+    fields = evaluate_batch(batch, family)
+    assert fields.w.shape == (ENGINE_SAMPLES, delta, n + 1)
+    assert fields.u.shape == (ENGINE_SAMPLES, delta, m + 1)
+    assert fields.mu.shape == (ENGINE_SAMPLES, delta)
+    residuals = tangency_residuals_batch(batch, fields)
+    signs = {kind: quasi_invariance_signs(kind, batch, fields, family) for kind in (SIGMA, TAU)}
+    roots = [well_defined_batch(batch, fields, family, omega) for omega in EIGHTH_ROOTS]
+    mats = fields.matrix()
+    ranks, rel = svd_ranks(mats)
+    for s, p in enumerate(points):
+        tangents = [evaluate_field(j, p, family) for j in range(1, delta + 1)]
+        assert np.max(np.abs(mats[s] - tangent_matrix(tangents))) <= 1e-12
+        report = independence_report(p, family)
+        assert ranks[s] == report.rank
+        assert abs(rel[s] - report.min_relative_sv) <= 1e-12
+        for j, t in enumerate(tangents, start=1):
+            assert np.max(np.abs(fields.w[s, j - 1] - t.w)) <= 1e-12
+            assert np.max(np.abs(fields.u[s, j - 1] - t.u)) <= 1e-12
+            assert abs(fields.mu[s, j - 1] - t.mu) <= 1e-12
+            for slot, value in enumerate(tangency_residuals(p, t)):
+                assert abs(residuals[slot][s, j - 1] - value) <= 1e-12
+            for kind in (SIGMA, TAU):
+                assert signs[kind][s, j - 1] == (quasi_invariance_sign(j, kind, p, family) or 0)
+            for omega, ok in zip(EIGHTH_ROOTS, roots):
+                assert ok[s, j - 1] == check_well_defined(j, p, family, omega)
+    return signs, roots
+
+
+@pytest.mark.parametrize("m,n", ENGINE_GRID)
+def test_batched_engine_matches_reference(m, n):
+    _assert_engine_matches_reference(m, build_family(n))
+
+
+def test_batched_engine_matches_reference_on_broken_family():
+    # i*A_1 is Hermitian: its field leaves the tangent space and flips its
+    # sigma-sign, so both paths must report the same missing signs
+    family = build_family(3)
+    broken = replace(family, matrices=(family.matrices[0].times_i(),) + family.matrices[1:])
+    signs, _ = _assert_engine_matches_reference(2, broken)
+    assert (signs[SIGMA][:, 0] != expected_quasi_sign(1, SIGMA, family.nu, 2)).all()
+
+
+def test_batched_engine_rejects_mismatched_family():
+    batch = PointBatch.stack([_point(1, 2)])
+    with pytest.raises(ValueError):
+        evaluate_batch(batch, build_family(1))
+
+
+def test_well_defined_batch_rejects_non_unit_omega():
+    batch = PointBatch.stack([_point(1, 1)])
+    family = build_family(1)
+    with pytest.raises(ValueError):
+        well_defined_batch(batch, evaluate_batch(batch, family), family, 2.0)
+
+
+def test_svd_ranks_zero_stack():
+    ranks, rel = svd_ranks(np.zeros((2, 3, 5)))
+    assert ranks.tolist() == [0, 0] and rel.tolist() == [0.0, 0.0]

@@ -1,10 +1,14 @@
 """Campaign assembly, report determinism and the CLI surface."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from wallspan import fields, harness
 from wallspan.cli import main, parse_int_spec
+from wallspan.clifford import build_family, verify_family
 from wallspan.harness import (
     CampaignConfig,
     Tolerances,
@@ -58,6 +62,50 @@ def test_campaign_grid_complete_and_deterministic():
     assert report_to_json(result.report) == report_to_json(again.report)
 
 
+# -- the batched checks catch broken fields ----------------------------------------
+
+
+def _use_family(monkeypatch, n, matrices):
+    family = replace(build_family(n), matrices=matrices)
+    monkeypatch.setattr(harness, "family_for", lambda _n: family)
+    monkeypatch.setattr(harness, "family_report_for", lambda _n: verify_family(family))
+
+
+def test_duplicated_matrix_fails_rank(monkeypatch):
+    a = build_family(1).matrices
+    _use_family(monkeypatch, 1, (a[0], a[0], a[2]))
+    record, _ = run_case(2, 1, SMALL)
+    assert not record["independence"]["rankOk"]
+    assert not record["passed"]
+
+
+def test_hermitian_matrix_fails_sigma_sign(monkeypatch):
+    a = build_family(1).matrices
+    _use_family(monkeypatch, 1, (a[0].times_i(), a[1], a[2]))
+    record, _ = run_case(2, 1, SMALL)
+    assert not record["signs"]["allPassed"]
+    bad = [(e["j"], e["kind"]) for e in record["signs"]["entries"] if not e["passed"]]
+    assert (1, "sigma") in bad
+    assert not record["passed"]
+
+
+@pytest.mark.parametrize("conjugate,passed", [(True, False), (False, True)])
+def test_non_equivariant_field_fails_roots(monkeypatch, conjugate, passed):
+    # a w-term in conj(z_0) does not scale with omega, one in z_0 does
+    evaluate = fields.evaluate_batch
+
+    def with_extra_term(points, family):
+        f = evaluate(points, family)
+        z0 = points.z[:, 0]
+        w = f.w.copy()
+        w[:, -1, 0] += np.conj(z0) if conjugate else z0
+        return fields.FieldBatch(w, f.u, f.mu)
+
+    monkeypatch.setattr(fields, "evaluate_batch", with_extra_term)
+    record, _ = run_case(1, 1, SMALL)
+    assert record["wellDefined"]["passed"] is passed
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -102,6 +150,15 @@ def test_cli_cohomology(capsys):
     assert ruled[3] is False and ruled[4] is True
     witnesses = next(e for e in obj["ruleOuts"] if e["k"] == 4)["witnesses"]
     assert witnesses and all(w["failureDegree"] is not None for w in witnesses)
+    # a scan capped below the first ruled-out k decides nothing
+    assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "2", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["swUpperBound"] is None and obj["boundNotBelowPspan"] is None
+    assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "2"]) == 0
+    assert "no k <= 2 ruled out; bound not determined" in capsys.readouterr().out
+    assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "4", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["swUpperBound"] == 3 and obj["boundNotBelowPspan"] is True
 
 
 def test_cli_cohomology_smallest(capsys):
@@ -168,6 +225,15 @@ def test_cli_accept_json_small_grid(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert [c["id"] for c in obj["criteria"]] == list(range(1, 8))
     assert obj["allPassed"]
+
+
+def test_cli_accept_json_byte_identical(capsys):
+    argv = ["accept", "--m", "1", "--n", "0:1", "--samples", "3", "--format", "json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert all("elapsedSeconds" not in c for c in json.loads(first)["criteria"])
 
 
 def test_cli_accept_default_grid(capsys):
