@@ -8,8 +8,8 @@ admits exactly 2*nu(n+1) + m + 1 linearly independent tangent line fields:
   skew-Hermitian automorphisms of C^(n+1) behind the lower bound;
 * `fields` -- numerical evaluation of the quasi-invariant vector fields on
   CP^n x S^m x S^1 (tangency, sign tables, linear independence);
-* `f2cohomology` -- exact mod-2 cohomology rings and the virtual
-  Stiefel-Whitney obstruction giving upper bounds;
+* `f2cohomology` -- the mod-2 cohomology ring of Q(m, n) on its explicit
+  basis and the virtual Stiefel-Whitney obstruction giving upper bounds;
 * `harness` / `acceptance` / `cli` -- deterministic campaigns, the
   acceptance suite and the command-line front end.
 """
@@ -31,15 +31,11 @@ from .clifford import (
 from .f2cohomology import (
     GradedF2Poly,
     MultisetWitness,
-    RingPresentation,
+    ObstructionScan,
     RuleOutResult,
     VirtualSwSearch,
-    cpn_presentation,
-    dold_presentation,
-    fiber_restriction,
-    make_presentation,
+    WallRing,
     sw_upper_bound,
-    total_sw_cpn,
     total_sw_wall,
     unit_inverse,
     virtual_sw_rules_out,

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .acceptance import run_acceptance
 from .clifford import build_family, verify_family
-from .f2cohomology import VirtualSwSearch, total_sw_wall
+from .f2cohomology import ObstructionScan, total_sw_wall
 from .harness import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
@@ -108,40 +108,23 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     if not 1 <= k_max <= p.dim:
         raise ValueError(f"--k-max must lie in 1..dim = {p.dim}, got {k_max}")
     w = total_sw_wall(p)
-    search = VirtualSwSearch(p)
     pspan = pspan_wall(p)
-
+    scan = ObstructionScan(p, k_max)
     rule_outs = []
-    first_ruled_out = None
-    for k in range(1, k_max + 1):
-        result = search.rule_out(k)
+    for result in scan:
         entry: dict[str, Any] = {
-            "k": k,
+            "k": result.k,
             "ruledOut": result.ruled_out,
             "maxAllowedDegree": result.max_allowed_degree,
         }
-        if result.ruled_out and first_ruled_out is None:
-            first_ruled_out = k
-            entry["witnesses"] = [
-                {
-                    "multiset": x.describe(),
-                    "counts": list(x.counts),
-                    "failureDegree": x.failure_degree,
-                }
-                for x in result.witnesses
-            ]
+        if result is scan.first:
+            entry["witnesses"] = [x.to_json_dict() for x in result.witnesses]
         elif result.ruled_out:
             entry["witnessCount"] = len(result.witnesses)
         else:
-            admissible = result.witnesses[-1]
-            entry["admissibleMultiset"] = admissible.describe()
+            entry["admissibleMultiset"] = result.witnesses[-1].describe()
         rule_outs.append(entry)
-    if first_ruled_out is not None:
-        upper: int | None = first_ruled_out - 1
-    elif k_max == p.dim:
-        upper = p.dim
-    else:
-        upper = None  # a capped scan that rules nothing out leaves the bound undetermined
+    upper = scan.upper_bound
     bound_ok = None if upper is None else upper >= pspan
 
     obj: dict[str, Any] = {

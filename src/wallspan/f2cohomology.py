@@ -1,240 +1,131 @@
-"""Graded polynomial quotient rings over F_2 and the line-bundle splitting obstruction.
+"""The mod-2 cohomology ring of the Wall manifold and the line-bundle splitting obstruction.
 
-Three cohomology rings are modelled exactly, as quotient rings presented by
-generators and rewrite relations:
+H^*(Q(m, n); F_2) = F_2[x, c, d] / (x^2, c^(m+1) - c^m x, d^(n+1)), with
+|x| = |c| = 1 and |d| = 2, has the explicit basis x^e c^i d^j, e <= 1,
+i <= m, j <= n, all of degree <= dim Q(m, n) = m + 2n + 1.  An element is a
+dense 0/1 array indexed (e, i, j); a product is an F_2 convolution folded by
+the closed rules c^(m+1) -> x c^m, c^(m+2) -> 0, x^2 -> 0 and d^(n+1) -> 0.
 
-* Dold manifold P(m, n):   F_2[c, d] / (c^(m+1), d^(n+1)),   |c| = 1, |d| = 2
-* Wall manifold Q(m, n):   F_2[x, c, d] / (x^2, c^(m+1) - c^m x, d^(n+1))
-* complex projective CP^n: F_2[a] / (a^(n+1)),               |a| = 2
+On the ring sits the mod-2 obstruction to splitting k line bundles off the
+tangent bundle: if k independent line fields exist, w(Q) / prod(1 + x_i) has
+no component above degree dim - k for some degree-1 classes x_1, ..., x_k.
+Ruling out every choice of the x_i bounds the projective span by k - 1.
 
-Elements are sets of normal-form monomials (characteristic 2, so a set is a
-polynomial).  Rewriting is confluent; this is verified exhaustively on all
-monomials up to the top degree when a presentation is built.  Everything is
-truncated above the manifold dimension, where the cohomology of a closed
-manifold vanishes.
+The virtual class has a closed form.  With U = (1 + c)^(-1) = sum_{i <= m+1} c^i,
+x^2 = 0 gives (1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
 
-On top of the ring arithmetic sits the mod-2 obstruction to splitting k
-line bundles off the tangent bundle: if k independent line fields exist,
-then for some degree-1 classes x_1, ..., x_k the virtual total class
-w(Q) / prod(1 + x_i) has no component in degrees above dim - k.  Ruling
-out every choice of the x_i bounds the projective span by k - 1.
+    w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3:
+
+each class is read off the powers w U^s and w U^(s+1), and multiplying by U
+is a running XOR along the c axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from .invariants import WallParams
 
-Mono = tuple[int, ...]
+Mono = tuple[int, int, int]
 
-_IN_PROGRESS = "in progress"
+GENERATORS = ("x", "c", "d")
 
 
-class RingPresentation:
-    """Graded quotient ring over F_2 given by generators and rewrite rules.
+@dataclass(frozen=True)
+class WallRing:
+    """H^*(Q(m, n); F_2) on the basis x^e c^i d^j, e <= 1, i <= m, j <= n.
 
-    `generators` is an ordered sequence of (name, degree) pairs; a monomial
-    is the tuple of exponents in that order.  `relations` is an ordered
-    sequence of (lead monomial, replacement polynomial) pairs: any monomial
-    divisible by a lead is rewritten by substituting the replacement.  The
-    first applicable relation is used, and construction verifies that the
-    choice never matters (unique normal forms up to `top_degree`).
+    m = 0 is rejected: the relation c^(m+1) = c^m x would collapse c onto x.
     """
 
-    def __init__(
-        self,
-        generators: Iterable[tuple[str, int]],
-        relations: Iterable[tuple[Mono, Iterable[Mono]]],
-        top_degree: int,
-        *,
-        kind: str = "custom",
-        m: int | None = None,
-        n: int | None = None,
-    ) -> None:
-        self.generators = tuple((str(name), int(deg)) for name, deg in generators)
-        self.relations = tuple((tuple(lead), frozenset(map(tuple, rhs))) for lead, rhs in relations)
-        self.top_degree = int(top_degree)
-        self.kind = kind
-        self.m = m
-        self.n = n
+    m: int
+    n: int
 
-        names = [name for name, _ in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names: {names}")
-        if any(deg < 1 for _, deg in self.generators):
-            raise ValueError("generator degrees must be >= 1")
-        if self.top_degree < 0:
-            raise ValueError("top degree must be >= 0")
-        self._degrees = tuple(deg for _, deg in self.generators)
-        self._index = {name: i for i, (name, _) in enumerate(self.generators)}
-        width = len(self.generators)
-        for lead, rhs in self.relations:
-            if len(lead) != width or any(len(r) != width for r in rhs):
-                raise ValueError("relation monomials must match the generator count")
-            lead_deg = self.degree(lead)
-            if any(self.degree(r) != lead_deg for r in rhs):
-                raise ValueError("rewrite rules must be degree-homogeneous")
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"the Wall ring needs m >= 1, got m = {self.m}")
+        if self.n < 0:
+            raise ValueError(f"need n >= 0, got {self.n}")
 
-        self._nf: dict[Mono, frozenset[Mono] | str] = {}
-        self._basis: dict[int, tuple[Mono, ...]] = {}
-        self._check_confluence()
+    @cached_property
+    def degree_grid(self) -> np.ndarray:
+        """Degree e + i + 2j of each basis monomial, indexed (e, i, j)."""
+        e, i, j = np.indices((2, self.m + 1, self.n + 1))
+        return e + i + 2 * j
 
-    # -- monomial arithmetic -------------------------------------------------
-
-    def degree(self, mono: Mono) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
-
-    def normal_form_monomial(self, mono: Mono) -> frozenset[Mono]:
-        """Normal form of a single free monomial, as a set of basis monomials."""
-        cached = self._nf.get(mono)
-        if cached is _IN_PROGRESS:
-            raise ValueError(f"rewriting does not terminate at {self.render_monomial(mono)}")
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        self._nf[mono] = _IN_PROGRESS
-        if self.degree(mono) > self.top_degree:
-            result: frozenset[Mono] = frozenset()
-        else:
-            for lead, rhs in self.relations:
-                if all(e >= l for e, l in zip(mono, lead)):
-                    quotient = tuple(e - l for e, l in zip(mono, lead))
-                    result = self._substitute(quotient, rhs)
-                    break
-            else:
-                result = frozenset((mono,))
-        self._nf[mono] = result
-        return result
-
-    def _substitute(self, quotient: Mono, rhs: frozenset[Mono]) -> frozenset[Mono]:
-        acc: set[Mono] = set()
-        for r in rhs:
-            acc ^= self.normal_form_monomial(tuple(q + e for q, e in zip(quotient, r)))
-        return frozenset(acc)
-
-    def reduce(self, monos: Iterable[Mono]) -> frozenset[Mono]:
-        """XOR of the normal forms of the given monomials (coefficients mod 2)."""
-        acc: set[Mono] = set()
-        for mono in monos:
-            acc ^= self.normal_form_monomial(tuple(mono))
-        return frozenset(acc)
-
-    def monomials_up_to(self, limit: int) -> Iterator[Mono]:
-        """All free monomials of degree <= limit, in lexicographic order."""
-
-        def rec(i: int, budget: int, prefix: tuple[int, ...]) -> Iterator[Mono]:
-            if i == len(self._degrees):
-                yield prefix
-                return
-            step = self._degrees[i]
-            for e in range(budget // step + 1):
-                yield from rec(i + 1, budget - e * step, prefix + (e,))
-
-        yield from rec(0, limit, ())
-
-    def _check_confluence(self) -> None:
-        # Every single-step fork must rejoin: for each monomial and each
-        # applicable rule, rewriting by that rule first must reach the same
-        # normal form as the default (first-rule) strategy.
-        for mono in self.monomials_up_to(self.top_degree):
-            default = self.normal_form_monomial(mono)
-            for lead, rhs in self.relations:
-                if all(e >= l for e, l in zip(mono, lead)):
-                    quotient = tuple(e - l for e, l in zip(mono, lead))
-                    if self._substitute(quotient, rhs) != default:
-                        raise ValueError(
-                            f"rewriting is not confluent at {self.render_monomial(mono)}"
-                        )
+    @property
+    def top_degree(self) -> int:
+        return self.m + 2 * self.n + 1
 
     def basis(self, q: int) -> tuple[Mono, ...]:
-        """Normal-form monomials of degree exactly q, lexicographically sorted."""
-        cached = self._basis.get(q)
-        if cached is None:
-            cached = tuple(
-                mono
-                for mono in self.monomials_up_to(min(q, self.top_degree))
-                if self.degree(mono) == q and self.normal_form_monomial(mono) == {mono}
-            )
-            self._basis[q] = cached
-        return cached
-
-    # -- element constructors ------------------------------------------------
+        """Basis monomials of degree exactly q, lexicographically sorted."""
+        return tuple(map(tuple, np.argwhere(self.degree_grid == q).tolist()))
 
     def zero(self) -> GradedF2Poly:
-        return GradedF2Poly(self, frozenset(), _normalized=True)
+        return GradedF2Poly(self, np.zeros(self.degree_grid.shape, np.uint8))
 
     def one(self) -> GradedF2Poly:
-        return self.element([(0,) * len(self.generators)])
+        return self.element([(0, 0, 0)])
 
     def gen(self, name: str) -> GradedF2Poly:
-        if name not in self._index:
-            raise ValueError(f"unknown generator {name!r}; have {list(self._index)}")
-        mono = tuple(1 if i == self._index[name] else 0 for i in range(len(self.generators)))
-        return self.element([mono])
+        if name not in GENERATORS:
+            raise ValueError(f"unknown generator {name!r}; have {list(GENERATORS)}")
+        return self.element([tuple(int(g == name) for g in GENERATORS)])
 
     def element(self, monos: Iterable[Mono]) -> GradedF2Poly:
-        return GradedF2Poly(self, monos)
-
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingPresentation):
-            return NotImplemented
-        return (
-            self.generators == other.generators
-            and self.relations == other.relations
-            and self.top_degree == other.top_degree
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.relations, self.top_degree))
-
-    def render_monomial(self, mono: Mono) -> str:
-        parts = []
-        for (name, _), e in zip(self.generators, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def __repr__(self) -> str:
-        gens = ", ".join(f"{name}:{deg}" for name, deg in self.generators)
-        return f"RingPresentation({self.kind}; {gens}; top={self.top_degree})"
+        """Sum of free monomials x^e c^i d^j, each folded onto the basis."""
+        out = self.zero()
+        for e, i, j in monos:
+            if i > self.m:  # c^(m+1) = x c^m
+                e, i = e + i - self.m, self.m
+            if e <= 1 and j <= self.n:
+                out.coeffs[e, i, j] ^= 1
+        return out
 
 
+def wall_presentation(m: int, n: int) -> WallRing:
+    """H^*(Q(m, n); F_2) = F_2[x, c, d] / (x^2, c^(m+1) - c^m x, d^(n+1))."""
+    return WallRing(m, n)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class GradedF2Poly:
-    """Element of a `RingPresentation`: a set of normal-form monomials."""
+    """Element of a `WallRing`: 0/1 coefficients indexed (e, i, j)."""
 
-    __slots__ = ("pres", "monos")
+    ring: WallRing
+    coeffs: np.ndarray
 
-    def __init__(self, pres: RingPresentation, monos: Iterable[Mono], *, _normalized: bool = False) -> None:
-        self.pres = pres
-        self.monos = frozenset(monos) if _normalized else pres.reduce(monos)
-
-    def _check_same_ring(self, other: GradedF2Poly) -> None:
-        if self.pres != other.pres:
-            raise ValueError(f"mixed presentations: {self.pres!r} vs {other.pres!r}")
+    def _same_ring(self, other: GradedF2Poly) -> WallRing:
+        if self.ring != other.ring:
+            raise ValueError(f"mixed rings: {self.ring!r} vs {other.ring!r}")
+        return self.ring
 
     def __add__(self, other: GradedF2Poly) -> GradedF2Poly:
-        self._check_same_ring(other)
-        return GradedF2Poly(self.pres, self.monos ^ other.monos, _normalized=True)
+        return GradedF2Poly(self._same_ring(other), self.coeffs ^ other.coeffs)
 
     def __mul__(self, other: GradedF2Poly) -> GradedF2Poly:
-        self._check_same_ring(other)
-        pres = self.pres
-        acc: set[Mono] = set()
-        for a in self.monos:
-            for b in other.monos:
-                acc ^= pres.normal_form_monomial(tuple(x + y for x, y in zip(a, b)))
-        return GradedF2Poly(pres, acc, _normalized=True)
+        ring = self._same_ring(other)
+        m, n = ring.m, ring.n
+        a, b = self.coeffs, other.coeffs
+        if np.count_nonzero(a) > np.count_nonzero(b):
+            a, b = b, a
+        full = np.zeros((3, 2 * m + 1, 2 * n + 1), np.uint8)
+        for e, i, j in np.argwhere(a):
+            full[e : e + 2, i : i + m + 1, j : j + n + 1] ^= b
+        # keep x^e c^i d^j with e <= 1, i <= m, j <= n and fold c^(m+1) = x c^m;
+        # x^2, c^(m+2), x c^(m+1) and d^(n+1) all vanish
+        out = full[:2, : m + 1, : n + 1].copy()
+        out[1, m] ^= full[0, m + 1, : n + 1]
+        return GradedF2Poly(ring, out)
 
     def __pow__(self, e: int) -> GradedF2Poly:
         if e < 0:
             raise ValueError("negative powers are not defined; see unit_inverse")
-        result = self.pres.one()
+        result = self.ring.one()
         base = self
         while e:
             if e & 1:
@@ -246,151 +137,59 @@ class GradedF2Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedF2Poly):
             return NotImplemented
-        return self.pres == other.pres and self.monos == other.monos
+        return self.ring == other.ring and np.array_equal(self.coeffs, other.coeffs)
 
-    def __hash__(self) -> int:
-        return hash((self.pres, self.monos))
+    @property
+    def monos(self) -> frozenset[Mono]:
+        return frozenset(map(tuple, np.argwhere(self.coeffs).tolist()))
 
     def is_zero(self) -> bool:
-        return not self.monos
+        return not self.coeffs.any()
 
     def component(self, q: int) -> GradedF2Poly:
         """The degree-q graded piece."""
-        return GradedF2Poly(
-            self.pres,
-            frozenset(mo for mo in self.monos if self.pres.degree(mo) == q),
-            _normalized=True,
-        )
+        return GradedF2Poly(self.ring, self.coeffs * (self.ring.degree_grid == q))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({self.pres.degree(mo) for mo in self.monos}))
+        return tuple(np.unique(self.ring.degree_grid[self.coeffs != 0]).tolist())
 
     def max_degree(self) -> int:
         """Top degree with a nonzero component; -1 for the zero polynomial."""
-        return max((self.pres.degree(mo) for mo in self.monos), default=-1)
+        return max(self.degrees(), default=-1)
 
     def render(self) -> str:
-        if not self.monos:
-            return "0"
-        ordered = sorted(self.monos, key=lambda mo: (self.pres.degree(mo), mo))
-        return " + ".join(self.pres.render_monomial(mo) for mo in ordered)
-
-    def __str__(self) -> str:
-        return self.render()
+        ordered = sorted(self.monos, key=lambda mo: (mo[0] + mo[1] + 2 * mo[2], mo))
+        return " + ".join(map(render_monomial, ordered)) or "0"
 
     def __repr__(self) -> str:
         return f"GradedF2Poly({self.render()})"
 
 
-# -- the three presentations --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def dold_presentation(m: int, n: int) -> RingPresentation:
-    """H^*(P(m, n); F_2) = F_2[c, d] / (c^(m+1), d^(n+1))."""
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got ({m}, {n})")
-    relations = [
-        ((m + 1, 0), []),
-        ((0, n + 1), []),
-    ]
-    return RingPresentation(
-        [("c", 1), ("d", 2)], relations, m + 2 * n, kind="dold", m=m, n=n
-    )
-
-
-@lru_cache(maxsize=None)
-def wall_presentation(m: int, n: int) -> RingPresentation:
-    """H^*(Q(m, n); F_2) = F_2[x, c, d] / (x^2, c^(m+1) - c^m x, d^(n+1)).
-
-    m = 0 is rejected: the relation c^(m+1) = c^m x would collapse c onto x
-    and the normal-form basis below assumes m >= 1.  The c-rule is listed
-    before the x-rule so that c^(m+1) rewrites to c^m x before squares of x
-    are killed; confluence of this order is checked at construction.
-    """
-    if m < 1:
-        raise ValueError(f"the Wall ring needs m >= 1, got m = {m}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    relations = [
-        ((0, m + 1, 0), [(1, m, 0)]),
-        ((2, 0, 0), []),
-        ((0, 0, n + 1), []),
-    ]
-    return RingPresentation(
-        [("x", 1), ("c", 1), ("d", 2)], relations, m + 2 * n + 1, kind="wall", m=m, n=n
-    )
-
-
-@lru_cache(maxsize=None)
-def cpn_presentation(n: int) -> RingPresentation:
-    """H^*(CP^n; F_2) = F_2[a] / (a^(n+1)) with |a| = 2."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return RingPresentation([("a", 2)], [((n + 1,), [])], 2 * n, kind="cpn", n=n)
-
-
-def make_presentation(kind: str, m: int | None = None, n: int | None = None) -> RingPresentation:
-    """Dispatch on kind in {"dold", "wall", "cpn"}; cpn ignores m."""
-    key = kind.lower()
-    if key == "dold":
-        if m is None or n is None:
-            raise ValueError("dold presentation needs m and n")
-        return dold_presentation(m, n)
-    if key == "wall":
-        if m is None or n is None:
-            raise ValueError("wall presentation needs m and n")
-        return wall_presentation(m, n)
-    if key == "cpn":
-        if n is None:
-            raise ValueError("cpn presentation needs n")
-        return cpn_presentation(n)
-    raise ValueError(f"unknown presentation kind {kind!r}")
+def render_monomial(mono: Mono) -> str:
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(GENERATORS, mono) if e]
+    return "*".join(parts) or "1"
 
 
 # -- characteristic classes ----------------------------------------------------
 
 
 def total_sw_wall(p: WallParams) -> GradedF2Poly:
-    """Total Stiefel-Whitney class of Q(m, n).
-
-    w(Q(m, n)) = (1 + c + x) * (1 + c)^(m-1) * (1 + c + d)^(n+1), reduced to
-    normal form in the Wall ring.
-    """
-    pres = wall_presentation(p.m, p.n)
-    one = pres.one()
-    x, c, d = pres.gen("x"), pres.gen("c"), pres.gen("d")
+    """Total Stiefel-Whitney class w(Q(m, n)) = (1 + c + x) (1 + c)^(m-1) (1 + c + d)^(n+1)."""
+    ring = wall_presentation(p.m, p.n)
+    one = ring.one()
+    x, c, d = ring.gen("x"), ring.gen("c"), ring.gen("d")
     return (one + c + x) * (one + c) ** (p.m - 1) * (one + c + d) ** (p.n + 1)
 
 
-def total_sw_cpn(n: int) -> GradedF2Poly:
-    """Total Stiefel-Whitney class of CP^n: (1 + a)^(n+1) mod 2."""
-    pres = cpn_presentation(n)
-    return (pres.one() + pres.gen("a")) ** (n + 1)
-
-
-def fiber_restriction(p: GradedF2Poly) -> GradedF2Poly:
-    """Restriction along the fibre inclusion CP^n -> Q(m, n): x, c -> 0, d -> a."""
-    if p.pres.kind != "wall":
-        raise ValueError(f"fiber_restriction expects a Wall-ring element, got {p.pres!r}")
-    assert p.pres.n is not None
-    target = cpn_presentation(p.pres.n)
-    return target.element([(j,) for (e, i, j) in p.monos if e == 0 and i == 0])
-
-
 def unit_inverse(p: GradedF2Poly) -> GradedF2Poly:
-    """Multiplicative inverse of a unit (degree-0 component equal to 1).
-
-    Geometric series in the positive-degree tail, exact because the tail is
-    nilpotent above the top degree.
-    """
-    one = p.pres.one()
+    """Inverse of a unit (degree-0 component 1) by the geometric series in its nilpotent
+    tail: the reference that the closed-form virtual classes are tested against."""
+    one = p.ring.one()
     if p.component(0) != one:
         raise ValueError("not a unit: the degree-0 component must be 1")
     tail = p + one
-    inverse = one
-    power = one
-    for _ in range(p.pres.top_degree):
+    inverse = power = one
+    for _ in range(p.ring.top_degree):
         power = power * tail
         if power.is_zero():
             break
@@ -407,20 +206,21 @@ H1_LABELS = ("0", "x", "c", "x+c")
 class MultisetWitness:
     """Outcome for one multiset {x_1, ..., x_k} of degree-1 classes.
 
-    `counts` gives the multiplicities of (0, x, c, x+c).  `failure_degree`
-    is the smallest degree above dim - k where the virtual class
-    w / prod(1 + x_i) is nonzero, or None if every such component vanishes
-    (the multiset satisfies the necessary condition).
+    `counts` gives the multiplicities of (0, x, c, x+c).  `failure_degree` is
+    the smallest degree above dim - k where w / prod(1 + x_i) is nonzero, or
+    None if there is none (the multiset satisfies the necessary condition).
     """
 
     counts: tuple[int, int, int, int]
     failure_degree: int | None
 
     def describe(self) -> str:
-        elements: list[str] = []
-        for label, count in zip(H1_LABELS, self.counts):
-            elements.extend([label] * count)
-        return "{" + ", ".join(elements) + "}"
+        labels = [lab for lab, count in zip(H1_LABELS, self.counts) for _ in range(count)]
+        return "{" + ", ".join(labels) + "}"
+
+    def to_json_dict(self) -> dict[str, Any]:
+        counts, failure = list(self.counts), self.failure_degree
+        return {"multiset": self.describe(), "counts": counts, "failureDegree": failure}
 
 
 @dataclass(frozen=True)
@@ -436,88 +236,94 @@ class RuleOutResult:
 class VirtualSwSearch:
     """Brute-force scan of the splitting obstruction over all degree-1 multisets.
 
-    The virtual class for a multiset depends only on the multiplicities of
-    the three nonzero degree-1 elements, so the scan walks the lattice of
-    multiplicity triples and reuses products incrementally across k.
+    By the closed form, the virtual class for the multiplicities (k1, k2, k3) of
+    x, c and x+c depends only on (k2 + k3, k1 mod 2, k3 mod 2), its memo key.
     """
 
     def __init__(self, p: WallParams) -> None:
-        self.params = p
-        self.pres = wall_presentation(p.m, p.n)
+        self.ring = wall_presentation(p.m, p.n)
         self.w = total_sw_wall(p)
-        one = self.pres.one()
-        x, c = self.pres.gen("x"), self.pres.gen("c")
-        self._inverses = (
-            unit_inverse(one + x),
-            unit_inverse(one + c),
-            unit_inverse(one + x + c),
-        )
-        self._virtual: dict[tuple[int, int, int], GradedF2Poly] = {(0, 0, 0): self.w}
-        self._max_degree: dict[tuple[int, int, int], int] = {}
+        self._powers = [self.w.coeffs]  # w U^s for s = 0, 1, ...
+        self._degrees: dict[tuple[int, int, int], tuple[int, ...]] = {}
+
+    def _power(self, s: int) -> np.ndarray:
+        while len(self._powers) <= s:  # times U: a running XOR along the c axis,
+            nxt = np.bitwise_xor.accumulate(self._powers[-1], axis=1)
+            nxt[1, -1] ^= nxt[0, -1]  # with the c^(m+1) coefficient folded onto x c^m
+            self._powers.append(nxt)
+        return self._powers[s]
 
     def virtual_class(self, triple: tuple[int, int, int]) -> GradedF2Poly:
         """w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) for multiplicities (k1, k2, k3)."""
-        value = self._virtual.get(triple)
-        if value is None:
-            k1, k2, k3 = triple
-            if k3:
-                value = self.virtual_class((k1, k2, k3 - 1)) * self._inverses[2]
-            elif k2:
-                value = self.virtual_class((k1, k2 - 1, 0)) * self._inverses[1]
-            else:
-                value = self.virtual_class((k1 - 1, 0, 0)) * self._inverses[0]
-            self._virtual[triple] = value
-        return value
-
-    def max_degree(self, triple: tuple[int, int, int]) -> int:
-        value = self._max_degree.get(triple)
-        if value is None:
-            value = self.virtual_class(triple).max_degree()
-            self._max_degree[triple] = value
-        return value
+        k1, k2, k3 = triple
+        out = self._power(k2 + k3).copy()
+        # add x (k1 w U^s + k3 w U^(s+1)); multiplying by x keeps only the x^0 parts
+        out[1] ^= (k1 & 1) * out[0] ^ (k3 & 1) * self._power(k2 + k3 + 1)[0]
+        return GradedF2Poly(self.ring, out)
 
     def rule_out(self, k: int) -> RuleOutResult:
-        dim = self.pres.top_degree
+        dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
         allowed = dim - k
+        failures: dict[tuple[int, int, int], int | None] = {}  # this k's failure degree per key
         witnesses: list[MultisetWitness] = []
-        ruled_out = True
         for k1 in range(k + 1):
             for k2 in range(k - k1 + 1):
                 for k3 in range(k - k1 - k2 + 1):
-                    counts = (k - k1 - k2 - k3, k1, k2, k3)
-                    if self.max_degree((k1, k2, k3)) <= allowed:
-                        witnesses.append(MultisetWitness(counts, None))
-                        ruled_out = False
-                        break
-                    u = self.virtual_class((k1, k2, k3))
-                    failure = min(q for q in u.degrees() if q > allowed)
-                    witnesses.append(MultisetWitness(counts, failure))
-                if not ruled_out:
-                    break
-            if not ruled_out:
-                break
-        return RuleOutResult(k, ruled_out, allowed, tuple(witnesses))
+                    key = (k2 + k3, k1 & 1, k3 & 1)
+                    if key not in failures:
+                        if key not in self._degrees:
+                            self._degrees[key] = self.virtual_class((k1, k2, k3)).degrees()
+                        failures[key] = next((q for q in self._degrees[key] if q > allowed), None)
+                    witnesses.append(MultisetWitness((k - k1 - k2 - k3, k1, k2, k3), failures[key]))
+                    if failures[key] is None:
+                        return RuleOutResult(k, False, allowed, tuple(witnesses))
+        return RuleOutResult(k, True, allowed, tuple(witnesses))
 
 
 def virtual_sw_rules_out(p: WallParams, k: int) -> RuleOutResult:
-    """Test whether the mod-2 obstruction forbids k independent line fields.
-
-    Enumerates every multiset of k degree-1 classes (the four-element group
-    {0, x, c, x+c}); `ruled_out` is True iff the virtual class of every
-    multiset has a nonzero component in some degree above dim - k.
-    """
+    """Scan every multiset of k classes in {0, x, c, x+c}; see `VirtualSwSearch`."""
     return VirtualSwSearch(p).rule_out(k)
 
 
-def sw_upper_bound(p: WallParams) -> int:
-    """Best upper bound for pspan(Q(m, n)) the mod-2 obstruction can certify.
+@dataclass
+class ObstructionScan:
+    """The rule-out scan k = 1, 2, ..., k_max of Q(m, n), the one path to the bound.
 
-    The smallest ruled-out k, minus one; dim Q(m, n) if nothing is ruled out.
+    Iterating yields rule_out(k) lazily (a full scan holds one k's witnesses at
+    a time) and records the result at the smallest ruled-out k in `first`.
     """
-    search = VirtualSwSearch(p)
-    for k in range(1, p.dim + 1):
-        if search.rule_out(k).ruled_out:
-            return k - 1
-    return p.dim
+
+    params: WallParams
+    k_max: int
+    first: RuleOutResult | None = field(default=None, init=False)
+
+    def __iter__(self) -> Iterator[RuleOutResult]:
+        search = VirtualSwSearch(self.params)
+        for k in range(1, self.k_max + 1):
+            result = search.rule_out(k)
+            if self.first is None and result.ruled_out:
+                self.first = result
+            yield result
+
+    def run(self) -> ObstructionScan:
+        """Scan up to the smallest ruled-out k."""
+        for result in self:
+            if result.ruled_out:
+                break
+        return self
+
+    @property
+    def upper_bound(self) -> int | None:
+        """first.k - 1 once scanned; dim if no k <= dim is ruled out; None
+        if a scan capped below dim rules nothing out (the bound is undetermined)."""
+        if self.first is not None:
+            return self.first.k - 1
+        return self.params.dim if self.k_max == self.params.dim else None
+
+
+def sw_upper_bound(p: WallParams) -> int:
+    """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies: the
+    smallest ruled-out k minus one, or dim Q(m, n) if nothing is ruled out."""
+    return ObstructionScan(p, p.dim).run().upper_bound  # type: ignore[return-value]

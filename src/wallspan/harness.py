@@ -21,7 +21,7 @@ from typing import Any
 
 from . import fields as fl
 from .clifford import CliffordFamily, FamilyReport, build_family, verify_family
-from .f2cohomology import MultisetWitness, VirtualSwSearch, total_sw_wall
+from .f2cohomology import ObstructionScan, total_sw_wall
 from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 1
@@ -91,14 +91,6 @@ def family_for(n: int) -> CliffordFamily:
 @lru_cache(maxsize=None)
 def family_report_for(n: int) -> FamilyReport:
     return verify_family(family_for(n))
-
-
-def _witness_dict(w: MultisetWitness) -> dict[str, Any]:
-    return {
-        "multiset": w.describe(),
-        "counts": list(w.counts),
-        "failureDegree": w.failure_degree,
-    }
 
 
 def _check(name: str, claim: str, passed: bool, **extra: Any) -> dict[str, Any]:
@@ -228,16 +220,9 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()
     w = total_sw_wall(params)
-    search = VirtualSwSearch(params)
-    ruled_out_at: int | None = None
-    witnesses: list[dict[str, Any]] = []
-    for k in range(1, params.dim + 1):
-        result = search.rule_out(k)
-        if result.ruled_out:
-            ruled_out_at = k
-            witnesses = [_witness_dict(x) for x in result.witnesses]
-            break
-    upper = (ruled_out_at - 1) if ruled_out_at is not None else params.dim
+    scan = ObstructionScan(params, params.dim).run()
+    first = scan.first
+    upper = scan.upper_bound
     timings.cohomology += time.perf_counter() - t0
 
     cohomology_record = {
@@ -246,8 +231,8 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
             {"degree": q, "value": w.component(q).render()} for q in w.degrees()
         ],
         "swUpperBound": upper,
-        "ruledOutAtK": ruled_out_at,
-        "ruleOutWitnesses": witnesses,
+        "ruledOutAtK": first.k if first else None,
+        "ruleOutWitnesses": [x.to_json_dict() for x in first.witnesses] if first else [],
         "checks": [
             _check(
                 "sw_bound_not_below_pspan",

@@ -1,7 +1,9 @@
-"""Mod-2 quotient rings: normal forms, ring axioms, SW classes, obstruction."""
+"""The Wall ring: normal forms, ring axioms, SW classes, obstruction."""
 
 import random
 from collections import Counter
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,10 @@ from hypothesis import strategies as st
 
 from wallspan.f2cohomology import (
     GradedF2Poly,
-    RingPresentation,
-    cpn_presentation,
-    dold_presentation,
-    fiber_restriction,
-    make_presentation,
+    ObstructionScan,
+    VirtualSwSearch,
+    render_monomial,
     sw_upper_bound,
-    total_sw_cpn,
     total_sw_wall,
     unit_inverse,
     virtual_sw_rules_out,
@@ -29,7 +28,7 @@ from wallspan.invariants import WallParams
 # Expands products in the free ring with integer coefficients (Counter), then
 # reduces each free monomial x^e c^i d^j by hand: d^j dies for j > n, each
 # excess c beyond c^m trades for an x, and x^2 dies.  Shares no code with the
-# rewrite engine.
+# ring.
 
 
 def reduce_wall_by_hand(mono, m, n):
@@ -68,13 +67,19 @@ def total_sw_by_hand(m, n):
     return expand_wall_by_hand(factors, m, n)
 
 
-# -- presentations -------------------------------------------------------------
+def fibre_part(p):
+    """Restriction along the fibre inclusion CP^n -> Q(m, n) (x, c -> 0, d -> a),
+    as the set of exponents j of the surviving a^j."""
+    return frozenset(j for (e, i, j) in p.monos if e == 0 and i == 0)
+
+
+# -- the ring ------------------------------------------------------------------
 
 
 def test_wall_degree_one_basis():
     pres = wall_presentation(1, 1)
     assert len(pres.basis(1)) == 2
-    assert {pres.render_monomial(mo) for mo in pres.basis(1)} == {"x", "c"}
+    assert {render_monomial(mo) for mo in pres.basis(1)} == {"x", "c"}
 
 
 def test_wall_c_cubed_normalizes():
@@ -87,16 +92,6 @@ def test_wall_c_cubed_normalizes():
 def test_wall_rejects_m_zero():
     with pytest.raises(ValueError):
         wall_presentation(0, 2)
-
-
-def test_make_presentation_dispatch():
-    assert make_presentation("wall", 2, 1) is wall_presentation(2, 1)
-    assert make_presentation("dold", 2, 1) is dold_presentation(2, 1)
-    assert make_presentation("cpn", n=3) is cpn_presentation(3)
-    with pytest.raises(ValueError):
-        make_presentation("lens", 2, 1)
-    with pytest.raises(ValueError):
-        make_presentation("cpn")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -113,39 +108,6 @@ def test_wall_graded_dimensions(m, n):
             if eps + i + 2 * j == q
         )
         assert len(pres.basis(q)) == expected
-
-
-def test_dold_and_cpn_presentations():
-    dold = dold_presentation(2, 1)
-    assert dold.element([(3, 0)]).is_zero()  # c^3 = 0
-    assert dold.element([(0, 2)]).is_zero()  # d^2 = 0
-    cpn = cpn_presentation(3)
-    assert cpn.element([(4,)]).is_zero()
-    assert not cpn.element([(3,)]).is_zero()
-
-
-def test_non_confluent_rules_rejected():
-    # x^2 -> 0 vs xy -> y^2: x^2 y reduces to 0 or to y^3
-    with pytest.raises(ValueError, match="not confluent"):
-        RingPresentation(
-            [("x", 1), ("y", 1)],
-            [((2, 0), []), ((1, 1), [(0, 2)])],
-            top_degree=4,
-        )
-
-
-def test_non_terminating_rules_rejected():
-    with pytest.raises(ValueError, match="terminate"):
-        RingPresentation(
-            [("x", 1), ("y", 1)],
-            [((1, 0), [(0, 1)]), ((0, 1), [(1, 0)])],
-            top_degree=2,
-        )
-
-
-def test_inhomogeneous_rule_rejected():
-    with pytest.raises(ValueError, match="homogeneous"):
-        RingPresentation([("x", 1)], [((2,), [(1,)])], top_degree=3)
 
 
 # -- ring arithmetic -----------------------------------------------------------
@@ -198,7 +160,7 @@ def test_ring_axioms(p, q, r):
 @given(_polys)
 def test_normal_form_idempotent(p):
     assert _PRES.element(p.monos) == p
-    assert GradedF2Poly(_PRES, p.monos) == p
+    assert GradedF2Poly(_PRES, p.coeffs.copy()) == p
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,40 +212,28 @@ def test_total_sw_wall_matches_hand_expansion(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (4, 2), (2, 4)])
 def test_fiber_restriction_of_top_even_class(m, n):
-    # for n even the degree-2n component restricts to a^n != 0
+    # for n even the degree-2n component restricts to a^n != 0: w_2n has a d^n term
     w = total_sw_wall(WallParams(m, n))
-    restricted = fiber_restriction(w.component(2 * n))
-    assert restricted == cpn_presentation(n).element([(n,)])
-    assert not restricted.is_zero()
-
-
-def test_fiber_restriction_basics():
-    pres = wall_presentation(2, 3)
-    d = pres.gen("d")
-    for k in range(1, 4):
-        assert fiber_restriction(d**k) == cpn_presentation(3).element([(k,)])
-    xcd = pres.gen("x") * pres.gen("c") * d
-    assert fiber_restriction(xcd).is_zero()
+    assert fibre_part(w.component(2 * n)) == {n}
 
 
 def test_fiber_restriction_is_ring_hom():
+    # x, c -> 0 is a ring map onto F_2[a] / (a^(n+1)), multiplied here by hand
     pres = wall_presentation(2, 2)
     rng = random.Random(19)
     basis = [mo for q in range(pres.top_degree + 1) for mo in pres.basis(q)]
     for _ in range(25):
         p = pres.element(rng.sample(basis, 5))
         q = pres.element(rng.sample(basis, 5))
-        assert fiber_restriction(p * q) == fiber_restriction(p) * fiber_restriction(q)
-
-
-def test_fiber_restriction_rejects_other_rings():
-    with pytest.raises(ValueError):
-        fiber_restriction(cpn_presentation(2).gen("a"))
+        by_hand = Counter(a + b for a in fibre_part(p) for b in fibre_part(q) if a + b <= pres.n)
+        assert fibre_part(p * q) == {j for j, count in by_hand.items() if count % 2}
 
 
 def test_fiber_restriction_of_total_class_is_cpn_total_class():
-    for m, n in [(1, 2), (3, 3), (2, 4)]:
-        assert fiber_restriction(total_sw_wall(WallParams(m, n))) == total_sw_cpn(n)
+    # w(CP^n) = (1 + a)^(n+1): a^j survives iff binom(n+1, j) is odd
+    for m, n in [(1, 2), (3, 3), (2, 4), (10, 32)]:
+        expected = {j for j in range(n + 1) if comb(n + 1, j) % 2}
+        assert fibre_part(total_sw_wall(WallParams(m, n))) == expected
 
 
 # -- the obstruction search ------------------------------------------------------
@@ -349,3 +299,37 @@ def test_sw_upper_bound_values():
     assert sw_upper_bound(WallParams(4, 2)) == 5  # m + 1
     assert sw_upper_bound(WallParams(2, 4)) == 3  # m + 1
     assert sw_upper_bound(WallParams(1, 1)) == 4  # = dim, nothing ruled out
+
+
+# -- the closed-form virtual class and the scan ------------------------------------
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (4, 5), (10, 7), (10, 32)])
+def test_virtual_class_closed_form_matches_products(m, n):
+    # w U^s (1 + x (k1 + k3 U)) against w * unit_inverse(product), all through ring products
+    search = VirtualSwSearch(WallParams(m, n))
+    pres = wall_presentation(m, n)
+    one, x, c = pres.one(), pres.gen("x"), pres.gen("c")
+    for k1, k2, k3 in product(range(13), repeat=3):
+        if k1 + k2 + k3 > 12:
+            continue
+        factors = (one + x) ** k1 * (one + c) ** k2 * (one + x + c) ** k3
+        assert search.virtual_class((k1, k2, k3)) == search.w * unit_inverse(factors), (k1, k2, k3)
+
+
+def test_rings_compare_by_parameters():
+    a, b = wall_presentation(3, 2), wall_presentation(3, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a.gen("c") * b.gen("x") == a.element([(1, 1, 0)])
+    assert a != wall_presentation(3, 3)
+
+
+def test_obstruction_scan_one_path():
+    p = WallParams(2, 2)
+    scan = ObstructionScan(p, p.dim).run()
+    assert scan.first.k == 4 and scan.first.ruled_out
+    assert scan.upper_bound == sw_upper_bound(p) == 3
+    assert [r.k for r in ObstructionScan(p, p.dim)] == list(range(1, p.dim + 1))
+    # a capped scan that rules nothing out leaves the bound undetermined
+    capped = ObstructionScan(p, 2).run()
+    assert capped.first is None and capped.upper_bound is None
