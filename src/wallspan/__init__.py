@@ -19,7 +19,6 @@ from .clifford import (
     CliffordFamily,
     FamilyReport,
     GaussMatrix,
-    beta,
     build_family,
     generator_2x2,
     kronecker,
@@ -62,8 +61,6 @@ from .fields import (
 from .harness import CampaignConfig, CampaignResult, Tolerances, run_campaign
 from .invariants import (
     WallParams,
-    flag_lower_bound,
-    hurwitz_radon,
     nu,
     pspan_wall,
     sspan_cpn,

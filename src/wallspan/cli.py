@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .acceptance import run_acceptance
 from .clifford import build_family, verify_family
-from .f2cohomology import ObstructionScan, total_sw_wall
+from .f2cohomology import ObstructionScan
 from .harness import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
@@ -107,9 +107,9 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     k_max = args.k_max if args.k_max is not None else p.dim
     if not 1 <= k_max <= p.dim:
         raise ValueError(f"--k-max must lie in 1..dim = {p.dim}, got {k_max}")
-    w = total_sw_wall(p)
     pspan = pspan_wall(p)
     scan = ObstructionScan(p, k_max)
+    w = scan.w
     rule_outs = []
     for result in scan:
         entry: dict[str, Any] = {
@@ -181,17 +181,12 @@ def cmd_clifford(args: argparse.Namespace) -> int:
         "predictedSigns": list(family.predicted_signs),
         "identities": [{"name": c.name, "passed": c.passed} for c in report.checks],
         "allPassed": report.all_passed,
-        "matrices": [
-            {
-                "index": j + 1,
-                "sign": family.predicted_signs[j],
-                "entries": [
-                    [mat.entry_str(r, c) for c in range(mat.size)] for r in range(mat.size)
-                ],
-            }
-            for j, mat in enumerate(family.matrices)
-        ],
     }
+    if args.format == "json":  # (n+1)^2 entries per matrix: built only when printed
+        obj["matrices"] = [
+            {"index": j + 1, "sign": family.predicted_signs[j], "entries": mat.entries()}
+            for j, mat in enumerate(family.matrices)
+        ]
     lines = [
         f"n = {family.n}: {family.count} automorphisms of C^{family.n + 1} "
         f"(nu = {family.nu}, b = {family.b})",

@@ -10,11 +10,15 @@ End(C^(n+1)) produces 2*nu + 1 automorphisms A_1, ..., A_(2nu+1) that
 * commute with componentwise complex conjugation up to a sign eps_j
   (a quasi-real structure).
 
-All entries live in {0, +-1, +-i}, so every identity is verified with exact
-integer arithmetic.  The direct sum and tensor factors are identified with
-C^(n+1) lexicographically (blocks outer, tensor factors by Kronecker
-ordering); under that identification componentwise conjugation on the
-factors is componentwise conjugation on C^(n+1), so no basis change is
+The four generators are Pauli matrices up to a phase (E = I, g1 = iZ,
+g2 = iX, T = Y), so every A_j is a tensor word in them: a monomial matrix,
+one entry in {+-1, +-i} per row and column.  It is stored as a signed
+permutation `(perm, phase)`, row r holding i^phase[r] in column perm[r], so
+a product is a gather plus a phase sum mod 4 and every identity is an exact
+O(n) comparison of integer arrays.  The direct sum and tensor factors are
+identified with C^(n+1) lexicographically (blocks outer, tensor factors by
+Kronecker ordering); under that identification componentwise conjugation on
+the factors is componentwise conjugation on C^(n+1), so no basis change is
 needed and the identities can be checked entrywise.
 """
 
@@ -26,99 +30,65 @@ import numpy as np
 
 from .invariants import nu as nu_of
 
+UNITS = np.array([1, 1j, -1, -1j])  # i^phase
+_UNIT_LABELS = ("1", "i", "-1", "-i")
+
 
 class GaussMatrix:
-    """Square matrix over the Gaussian integers, stored as int64 re/im parts."""
+    """Monomial matrix over the Gaussian units: row r holds i^phase[r] in column perm[r]."""
 
-    __slots__ = ("re", "im", "_complex")
+    __slots__ = ("perm", "phase")
 
-    def __init__(self, re, im) -> None:
-        re = np.asarray(re, dtype=np.int64)
-        im = np.asarray(im, dtype=np.int64)
-        if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
-            raise ValueError(f"need matching square shapes, got {re.shape} and {im.shape}")
-        re.setflags(write=False)
-        im.setflags(write=False)
-        self.re = re
-        self.im = im
-        self._complex: np.ndarray | None = None
+    def __init__(self, perm, phase) -> None:
+        perm = np.array(perm, dtype=np.int64)
+        phase = np.array(phase, dtype=np.int64) % 4
+        if perm.ndim != 1 or perm.shape != phase.shape:
+            raise ValueError(f"need 1-d perm and phase alike, got {perm.shape}, {phase.shape}")
+        if not np.array_equal(np.bincount(perm, minlength=perm.size), np.ones(perm.size)):
+            raise ValueError(f"perm is not a permutation of 0..{perm.size - 1}")
+        perm.setflags(write=False)
+        phase.setflags(write=False)
+        self.perm = perm
+        self.phase = phase
 
     @classmethod
     def identity(cls, size: int) -> GaussMatrix:
-        eye = np.eye(size, dtype=np.int64)
-        return cls(eye, np.zeros_like(eye))
-
-    @classmethod
-    def zeros(cls, size: int) -> GaussMatrix:
-        z = np.zeros((size, size), dtype=np.int64)
-        return cls(z, z)
+        return cls(np.arange(size), np.zeros(size))
 
     @property
     def size(self) -> int:
-        return self.re.shape[0]
+        return self.perm.size
 
     def __matmul__(self, other: GaussMatrix) -> GaussMatrix:
-        return GaussMatrix(
-            self.re @ other.re - self.im @ other.im,
-            self.re @ other.im + self.im @ other.re,
-        )
-
-    def __add__(self, other: GaussMatrix) -> GaussMatrix:
-        return GaussMatrix(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussMatrix) -> GaussMatrix:
-        return GaussMatrix(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> GaussMatrix:
-        return GaussMatrix(-self.re, -self.im)
-
-    def scaled(self, s: int) -> GaussMatrix:
-        return GaussMatrix(s * self.re, s * self.im)
+        return GaussMatrix(other.perm[self.perm], self.phase + other.phase[self.perm])
 
     def times_i(self) -> GaussMatrix:
-        """Multiply every entry by i: a + bi -> -b + ai."""
-        return GaussMatrix(-self.im, self.re)
-
-    def conj(self) -> GaussMatrix:
-        """Entrywise complex conjugation."""
-        return GaussMatrix(self.re, -self.im)
-
-    def conj_transpose(self) -> GaussMatrix:
-        return GaussMatrix(self.re.T, -self.im.T)
-
-    def is_zero(self) -> bool:
-        return not self.re.any() and not self.im.any()
+        """Multiply every entry by i."""
+        return GaussMatrix(self.perm, self.phase + 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussMatrix):
             return NotImplemented
-        return np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
+        return np.array_equal(self.perm, other.perm) and np.array_equal(self.phase, other.phase)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def to_complex(self) -> np.ndarray:
-        if self._complex is None:
-            self._complex = self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-            self._complex.setflags(write=False)
-        return self._complex
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The matrix acting on a complex vector."""
         z = np.asarray(z, dtype=np.complex128)
         if z.shape != (self.size,):
             raise ValueError(f"vector length {z.shape} does not match matrix size {self.size}")
-        return self.to_complex() @ z
+        return UNITS[self.phase] * z[self.perm]
 
-    def entry_str(self, i: int, j: int) -> str:
-        a, b = int(self.re[i, j]), int(self.im[i, j])
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return {1: "i", -1: "-i"}.get(b, f"{b}i")
-        return f"{a}{b:+}i"
+    def entries(self) -> list[list[str]]:
+        """Every entry as text, row by row: 0, 1, i, -1 or -i."""
+        rows = [["0"] * self.size for _ in range(self.size)]
+        for row, col, ph in zip(rows, self.perm.tolist(), self.phase.tolist()):
+            row[col] = _UNIT_LABELS[ph]
+        return rows
 
     def pretty(self) -> str:
-        cells = [[self.entry_str(i, j) for j in range(self.size)] for i in range(self.size)]
+        cells = self.entries()
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
@@ -129,8 +99,8 @@ class GaussMatrix:
 def kronecker(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
     """Kronecker product, left factor major (lexicographic basis order)."""
     return GaussMatrix(
-        np.kron(a.re, b.re) - np.kron(a.im, b.im),
-        np.kron(a.re, b.im) + np.kron(a.im, b.re),
+        (a.perm[:, None] * b.size + b.perm).ravel(),
+        (a.phase[:, None] + b.phase).ravel(),
     )
 
 
@@ -142,24 +112,12 @@ def tensor_power(a: GaussMatrix, k: int) -> GaussMatrix:
     return result
 
 
-def block_diagonal(blocks: list[GaussMatrix]) -> GaussMatrix:
-    sizes = [b.size for b in blocks]
-    total = sum(sizes)
-    re = np.zeros((total, total), dtype=np.int64)
-    im = np.zeros((total, total), dtype=np.int64)
-    offset = 0
-    for b in blocks:
-        re[offset : offset + b.size, offset : offset + b.size] = b.re
-        im[offset : offset + b.size, offset : offset + b.size] = b.im
-        offset += b.size
-    return GaussMatrix(re, im)
-
-
+# (perm, phase) of E = I, g1 = diag(i, -i) = iZ, g2 = antidiag(i, i) = iX, T = Y
 _GENERATORS_2X2 = {
-    "E": (((1, 0), (0, 1)), ((0, 0), (0, 0))),
-    "g1": (((0, 0), (0, 0)), ((1, 0), (0, -1))),
-    "g2": (((0, 0), (0, 0)), ((0, 1), (1, 0))),
-    "T": (((0, 0), (0, 0)), ((0, -1), (1, 0))),
+    "E": ((0, 1), (0, 0)),
+    "g1": ((0, 1), (1, 3)),
+    "g2": ((1, 0), (1, 1)),
+    "T": ((1, 0), (3, 1)),
 }
 
 
@@ -168,8 +126,7 @@ def generator_2x2(name: str) -> GaussMatrix:
     g2 = antidiag(i, i), T = [[0, -i], [i, 0]]."""
     if name not in _GENERATORS_2X2:
         raise ValueError(f"unknown generator {name!r}; expected one of {sorted(_GENERATORS_2X2)}")
-    re, im = _GENERATORS_2X2[name]
-    return GaussMatrix(re, im)
+    return GaussMatrix(*_GENERATORS_2X2[name])
 
 
 def spin_generator(j: int, nu: int) -> GaussMatrix:
@@ -226,14 +183,13 @@ class CliffordFamily:
 
 
 def build_family(n: int) -> CliffordFamily:
-    """Build the family for C^(n+1): b-fold block diagonals of the spin generators."""
+    """Build the family for C^(n+1): b-fold block diagonals E_b (x) A of the spin generators."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     v = nu_of(n + 1)
     b = (n + 1) >> v
-    matrices = tuple(
-        block_diagonal([spin_generator(j, v)] * b) for j in range(1, 2 * v + 2)
-    )
+    blocks = GaussMatrix.identity(b)
+    matrices = tuple(kronecker(blocks, spin_generator(j, v)) for j in range(1, 2 * v + 2))
     signs = tuple(predicted_sign(j, v) for j in range(1, 2 * v + 2))
     return CliffordFamily(n=n, nu=v, b=b, matrices=matrices, predicted_signs=signs)
 
@@ -260,9 +216,12 @@ class FamilyReport:
 def verify_family(family: CliffordFamily) -> FamilyReport:
     """Exact verification of the three defining identities.
 
-    (a) A_j A_k + A_k A_j = 0 for j != k;
-    (b) A_j + A_j^* = 0 (conjugate transpose);
-    (c) conj(A_j) = eps_j A_j entrywise, eps_j the predicted sign.
+    (a) A_j A_k + A_k A_j = 0 for j != k: both products have the same
+        permutation and their phases differ by 2 in every row;
+    (b) A_j + A_j^* = 0 (conjugate transpose): perm is an involution and
+        i^phase[r] = -conj(i^phase[perm[r]]), i.e. phase = 2 - phase[perm] mod 4;
+    (c) conj(A_j) = eps_j A_j entrywise, eps_j the predicted sign: every
+        phase is even for eps_j = +1 (real entries) and odd for eps_j = -1.
 
     Failures are report content, not exceptions.
     """
@@ -270,18 +229,15 @@ def verify_family(family: CliffordFamily) -> FamilyReport:
     checks: list[IdentityCheck] = []
     for j in range(len(mats)):
         for k in range(j + 1, len(mats)):
-            ok = (mats[j] @ mats[k] + mats[k] @ mats[j]).is_zero()
+            jk, kj = mats[j] @ mats[k], mats[k] @ mats[j]
+            ok = np.array_equal(jk.perm, kj.perm) and bool(np.all((jk.phase - kj.phase) % 4 == 2))
             checks.append(IdentityCheck(f"anticommute[{j + 1},{k + 1}]", ok))
     for j, a in enumerate(mats):
-        checks.append(IdentityCheck(f"skew_hermitian[{j + 1}]", (a + a.conj_transpose()).is_zero()))
+        ok = np.array_equal(a.perm[a.perm], np.arange(a.size)) and np.array_equal(
+            a.phase, (2 - a.phase[a.perm]) % 4
+        )
+        checks.append(IdentityCheck(f"skew_hermitian[{j + 1}]", ok))
     for j, (a, sign) in enumerate(zip(mats, family.predicted_signs)):
-        checks.append(IdentityCheck(f"conjugation_sign[{j + 1}]", a.conj() == a.scaled(sign)))
+        ok = bool(np.all(a.phase % 2 == (sign == -1)))
+        checks.append(IdentityCheck(f"conjugation_sign[{j + 1}]", ok))
     return FamilyReport(n=family.n, checks=tuple(checks))
-
-
-def beta(z: np.ndarray, a: GaussMatrix) -> complex:
-    """The Hermitian form <z, A z> = (A z)^* z; purely imaginary for skew-Hermitian A."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (a.size,):
-        raise ValueError(f"vector length {z.shape} does not match matrix size {a.size}")
-    return complex(np.vdot(a.apply(z), z))

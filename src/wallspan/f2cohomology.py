@@ -298,11 +298,19 @@ class ObstructionScan:
     params: WallParams
     k_max: int
     first: RuleOutResult | None = field(default=None, init=False)
+    search: VirtualSwSearch = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.search = VirtualSwSearch(self.params)
+
+    @property
+    def w(self) -> GradedF2Poly:
+        """The total class w(Q(m, n)) the scan divides, built once per scan."""
+        return self.search.w
 
     def __iter__(self) -> Iterator[RuleOutResult]:
-        search = VirtualSwSearch(self.params)
         for k in range(1, self.k_max + 1):
-            result = search.rule_out(k)
+            result = self.search.rule_out(k)
             if self.first is None and result.ruled_out:
                 self.first = result
             yield result

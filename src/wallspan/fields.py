@@ -50,7 +50,7 @@ from enum import Enum
 
 import numpy as np
 
-from .clifford import CliffordFamily, predicted_sign
+from .clifford import UNITS, CliffordFamily, predicted_sign
 
 POINT_TOL = 1e-12
 TANGENCY_TOL = 1e-10
@@ -365,8 +365,9 @@ def evaluate_batch(points: PointBatch, family: CliffordFamily) -> FieldBatch:
     z, v, lam = points.z, points.v, points.lam
     if family.n != z.shape[1] - 1:
         raise ValueError(f"family is for n = {family.n}, points have n = {z.shape[1] - 1}")
-    mats = np.stack([a.to_complex() for a in family.matrices])
-    az = np.matmul(z, mats.transpose(0, 2, 1)).transpose(1, 0, 2)  # (S, low, n+1)
+    perms = np.stack([a.perm for a in family.matrices])
+    units = UNITS[np.stack([a.phase for a in family.matrices])]
+    az = units * z[:, perms]  # A_j z at every sample: (S, low, n+1)
     b = np.einsum("sja,sa->sj", az.conj(), z)  # beta_j(z)
     eye = np.eye(v.shape[1])
     t = v[:, :1]  # <v, e_1>

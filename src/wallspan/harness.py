@@ -21,7 +21,7 @@ from typing import Any
 
 from . import fields as fl
 from .clifford import CliffordFamily, FamilyReport, build_family, verify_family
-from .f2cohomology import ObstructionScan, total_sw_wall
+from .f2cohomology import ObstructionScan
 from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 1
@@ -219,8 +219,8 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
 
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()
-    w = total_sw_wall(params)
     scan = ObstructionScan(params, params.dim).run()
+    w = scan.w
     first = scan.first
     upper = scan.upper_bound
     timings.cohomology += time.perf_counter() - t0

@@ -6,8 +6,7 @@ negating the last sphere coordinate; it has dimension m + 2n + 1.  Its
 projective span (maximal number of linearly independent tangent line
 fields) is 2*nu(n+1) + m + 1, where nu is the 2-adic valuation.  This
 module holds that closed form together with the related bounds it is
-checked against: the stable span of CP^n, the fibration upper bound, the
-Hurwitz-Radon numbers and the flag-manifold lower bound.
+checked against: the stable span of CP^n and the fibration upper bound.
 
 Everything here is exact integer arithmetic; all functions are pure.
 """
@@ -74,27 +73,3 @@ def upper_bound_fibration(p: WallParams) -> int:
     coincides with the closed form; `pspan_wall` must always agree.
     """
     return sspan_cpn(p.n) + p.m + 1
-
-
-def hurwitz_radon(n: int) -> int:
-    """Hurwitz-Radon number rho(n); span(S^(n-1)) = rho(n) - 1.
-
-    Classical closed form: writing n = 2^(4a+b) * odd with 0 <= b <= 3,
-    rho(n) = 8a + 2^b.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a, b = divmod(nu(n), 4)
-    return 8 * a + 2**b
-
-
-def flag_lower_bound(k: int) -> int:
-    """Lower bound binom(k, 2) for the projective span of RF(1, ..., 1, n-k).
-
-    The tangent bundle of a real flag manifold splits into the pairwise
-    tensor products of the tautological subbundles; with k one-dimensional
-    flags the k-choose-2 products of line bundles are line bundles.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return k * (k - 1) // 2

@@ -330,6 +330,7 @@ def test_obstruction_scan_one_path():
     assert scan.first.k == 4 and scan.first.ruled_out
     assert scan.upper_bound == sw_upper_bound(p) == 3
     assert [r.k for r in ObstructionScan(p, p.dim)] == list(range(1, p.dim + 1))
+    assert scan.w == total_sw_wall(p)
     # a capped scan that rules nothing out leaves the bound undetermined
     capped = ObstructionScan(p, 2).run()
     assert capped.first is None and capped.upper_bound is None

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wallspan import fields, harness
+from wallspan import f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family, verify_family
 from wallspan.harness import (
@@ -69,6 +69,23 @@ def _use_family(monkeypatch, n, matrices):
     family = replace(build_family(n), matrices=matrices)
     monkeypatch.setattr(harness, "family_for", lambda _n: family)
     monkeypatch.setattr(harness, "family_report_for", lambda _n: verify_family(family))
+
+
+def test_run_case_builds_total_class_once(monkeypatch):
+    # the record's w and the rule-out scan share one total_sw_wall call
+    # (wrapped wherever a module holds the name)
+    calls = []
+    build = f2cohomology.total_sw_wall
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    for module in (f2cohomology, harness):
+        monkeypatch.setattr(module, "total_sw_wall", counted, raising=False)
+    record, _ = run_case(2, 1, SMALL)
+    assert len(calls) == 1
+    assert record["cohomology"]["totalSw"] == build(calls[0]).render()
 
 
 def test_duplicated_matrix_fails_rank(monkeypatch):

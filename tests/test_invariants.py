@@ -1,25 +1,16 @@
 """Closed-form invariants: frozen values, independent oracles, properties."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallspan.invariants import (
     WallParams,
-    flag_lower_bound,
-    hurwitz_radon,
     nu,
     pspan_wall,
     sspan_cpn,
     upper_bound_fibration,
 )
-
-# Classical Hurwitz-Radon values rho(1..16); span(S^(n-1)) = rho(n) - 1, so
-# rho(2) - 1 = 1 = span(S^1), rho(4) - 1 = 3 = span(S^3),
-# rho(8) - 1 = 7 = span(S^7), rho(16) - 1 = 8 = span(S^15).
-RHO_CLASSICAL = (1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1, 9)
 
 
 def nu_by_division(k: int) -> int:
@@ -75,33 +66,6 @@ def test_upper_bound_fibration_examples():
     assert upper_bound_fibration(WallParams(1, 1)) == 2 * nu_by_division(2) + 1 + 1 == 4
     assert upper_bound_fibration(WallParams(3, 0)) == 4
     assert upper_bound_fibration(WallParams(2, 7)) == 9
-
-
-def test_hurwitz_radon_examples():
-    assert hurwitz_radon(1) == 1
-    assert hurwitz_radon(16) == 9  # span(S^15) = 8
-    assert hurwitz_radon(4) == 4  # span(S^3) = 3
-    with pytest.raises(ValueError):
-        hurwitz_radon(0)
-
-
-def test_hurwitz_radon_classical_table():
-    for n, rho in enumerate(RHO_CLASSICAL, start=1):
-        assert hurwitz_radon(n) == rho
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_hurwitz_radon_formula(n):
-    a, b = divmod(nu_by_division(n), 4)
-    assert hurwitz_radon(n) == 8 * a + 2**b
-
-
-def test_flag_lower_bound_examples():
-    assert flag_lower_bound(2) == 1
-    assert flag_lower_bound(3) == 3
-    assert flag_lower_bound(5) == 10 == len(list(itertools.combinations(range(5), 2)))
-    with pytest.raises(ValueError):
-        flag_lower_bound(1)
 
 
 def test_wall_params_validation():
