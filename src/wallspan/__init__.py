@@ -37,7 +37,6 @@ from .f2cohomology import (
     sw_upper_bound,
     total_sw_wall,
     unit_inverse,
-    virtual_sw_rules_out,
     wall_presentation,
 )
 from .fields import (
@@ -58,7 +57,7 @@ from .fields import (
     xi_high,
     xi_low,
 )
-from .harness import CampaignConfig, CampaignResult, Tolerances, run_campaign
+from .harness import CampaignConfig, CampaignResult, run_campaign
 from .invariants import (
     WallParams,
     nu,

@@ -1,13 +1,14 @@
 """The acceptance suite: seven criteria, each with pinned tolerances.
 
-The criteria are fixed contracts, not tunables:
+The criteria are fixed contracts, not tunables: no option sets the tolerance
+constants of `fields` or the grid that `wallspan accept` runs.
 
 1. exact Clifford identities for n = 0..16, under 1 second;
-2. quasi-invariance sign tables over the default grid, tolerance 1e-9;
-3. rank delta at every sampled point (relative SVD threshold 1e-8),
+2. quasi-invariance sign tables over the default grid, within INVARIANCE_TOL;
+3. rank delta at every sampled point (relative SVD threshold RANK_REL_TOL),
    under 10 seconds of independence work for the grid;
-4. tangency residuals <= 1e-10 and representative independence for the
-   8th roots of unity;
+4. tangency residuals <= TANGENCY_TOL and representative independence for
+   the 8th roots of unity;
 5. the mod-2 obstruction rules out m+2 line fields for n in {2, 4},
    m in {1..4}, under 30 seconds;
 6. regression of the stable-span table for CP^n, exact;
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .clifford import build_family, verify_family
-from .f2cohomology import virtual_sw_rules_out
+from .f2cohomology import VirtualSwSearch
 from .harness import CampaignConfig, CampaignResult, run_campaign
 from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
@@ -159,7 +160,7 @@ def criterion_rule_out_even() -> CriterionResult:
     bad = []
     for m in RULE_OUT_M_VALUES:
         for n in RULE_OUT_N_VALUES:
-            result = virtual_sw_rules_out(WallParams(m, n), m + 2)
+            result = VirtualSwSearch(WallParams(m, n)).rule_out(m + 2)
             if not result.ruled_out:
                 bad.append(f"({m},{n}) k={m + 2} not ruled out")
     elapsed = time.perf_counter() - start

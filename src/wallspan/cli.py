@@ -2,9 +2,10 @@
 
 Subcommands: `invariants`, `cohomology`, `clifford`, `fields`, `accept`.
 Exit codes: 0 = all checks passed, 1 = a verification check failed,
-2 = usage error (bad flags or parameter ranges).  The seed defaults to the
-WALLSPAN_SEED environment variable when set, else 42; identical
-configurations produce byte-identical JSON reports.
+2 = usage error (bad flags, parameter ranges or WALLSPAN_SEED).  The seed
+defaults to the WALLSPAN_SEED environment variable when set, else 42;
+identical configurations produce byte-identical JSON reports.  `accept`
+always runs the default grid, so its only inputs are the seed and the format.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .harness import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
     CampaignConfig,
-    Tolerances,
     render_campaign_text,
     report_to_json,
     run_campaign,
@@ -52,8 +52,11 @@ def parse_int_spec(spec: str) -> tuple[int, ...]:
 
 
 def default_seed() -> int:
-    env = os.environ.get("WALLSPAN_SEED")
-    return int(env) if env else DEFAULT_SEED
+    env = os.environ.get("WALLSPAN_SEED") or str(DEFAULT_SEED)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"WALLSPAN_SEED must be an integer, got {env!r}") from None
 
 
 def emit(obj: dict[str, Any], fmt: str, text: str) -> None:
@@ -117,13 +120,18 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             "ruledOut": result.ruled_out,
             "maxAllowedDegree": result.max_allowed_degree,
         }
-        if result is scan.first:
+        if result.ruled_out:
             entry["witnesses"] = [x.to_json_dict() for x in result.witnesses]
-        elif result.ruled_out:
-            entry["witnessCount"] = len(result.witnesses)
         else:
             entry["admissibleMultiset"] = result.witnesses[-1].describe()
         rule_outs.append(entry)
+    # the scan stopped at the first ruled-out k, since every larger k is ruled
+    # out too: all (k+1)(k+2)(k+3)/6 multisets of k classes in {0, x, c, x+c} fail
+    for k in range(len(rule_outs) + 1, k_max + 1):
+        count = (k + 1) * (k + 2) * (k + 3) // 6
+        rule_outs.append(
+            {"k": k, "ruledOut": True, "maxAllowedDegree": p.dim - k, "witnessCount": count}
+        )
     upper = scan.upper_bound
     bound_ok = None if upper is None else upper >= pspan
 
@@ -203,22 +211,14 @@ def cmd_clifford(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else CHECK_FAILED
 
 
-def config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    return CampaignConfig(
+def cmd_fields(args: argparse.Namespace) -> int:
+    config = CampaignConfig(
         m_values=parse_int_spec(args.m),
         n_values=parse_int_spec(args.n),
         samples_per_case=args.samples,
         seed=args.seed,
-        tolerances=Tolerances(
-            tangency=args.tol_tangency,
-            invariance=args.tol_invariance,
-            rank_rel=args.tol_rank,
-        ),
     )
-
-
-def cmd_fields(args: argparse.Namespace) -> int:
-    result = run_campaign(config_from_args(args))
+    result = run_campaign(config)
     if args.format == "json":
         sys.stdout.write(report_to_json(result.report))
     else:
@@ -227,7 +227,7 @@ def cmd_fields(args: argparse.Namespace) -> int:
 
 
 def cmd_accept(args: argparse.Namespace) -> int:
-    result = run_acceptance(config_from_args(args))
+    result = run_acceptance(CampaignConfig(seed=args.seed))
     if args.format == "json":
         obj = {
             "schemaVersion": SCHEMA_VERSION,
@@ -259,17 +259,6 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", default="1:4", help="m values: '2', '1:4' or '1,3'")
-    sub.add_argument("--n", default="0:8", help="n values: '2', '0:8' or '0,2,4'")
-    sub.add_argument("--samples", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=default_seed())
-    sub.add_argument("--tol-tangency", type=float, default=1e-10)
-    sub.add_argument("--tol-invariance", type=float, default=1e-9)
-    sub.add_argument("--tol-rank", type=float, default=1e-8)
-    _add_format(sub)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wallspan",
@@ -295,21 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_cl)
     p_cl.set_defaults(func=cmd_clifford)
 
+    seed = default_seed()
     p_f = subparsers.add_parser("fields", help="sampled verification campaign over a grid")
-    _add_campaign_flags(p_f)
+    p_f.add_argument("--m", default="1:4", help="m values: '2', '1:4' or '1,3'")
+    p_f.add_argument("--n", default="0:8", help="n values: '2', '0:8' or '0,2,4'")
+    p_f.add_argument("--samples", type=int, default=100)
+    p_f.add_argument("--seed", type=int, default=seed)
+    _add_format(p_f)
     p_f.set_defaults(func=cmd_fields)
 
-    p_a = subparsers.add_parser("accept", help="run the acceptance suite")
-    _add_campaign_flags(p_a)
+    p_a = subparsers.add_parser("accept", help="run the acceptance suite on the default grid")
+    p_a.add_argument("--seed", type=int, default=seed)
+    _add_format(p_a)
     p_a.set_defaults(func=cmd_accept)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # reads WALLSPAN_SEED
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -282,17 +282,15 @@ class VirtualSwSearch:
         return RuleOutResult(k, True, allowed, tuple(witnesses))
 
 
-def virtual_sw_rules_out(p: WallParams, k: int) -> RuleOutResult:
-    """Scan every multiset of k classes in {0, x, c, x+c}; see `VirtualSwSearch`."""
-    return VirtualSwSearch(p).rule_out(k)
-
-
 @dataclass
 class ObstructionScan:
     """The rule-out scan k = 1, 2, ..., k_max of Q(m, n), the one path to the bound.
 
-    Iterating yields rule_out(k) lazily (a full scan holds one k's witnesses at
-    a time) and records the result at the smallest ruled-out k in `first`.
+    Iterating yields rule_out(k) lazily (a scan holds one k's witnesses at a
+    time) and stops at the smallest ruled-out k, whose result it records in
+    `first`.  Every larger k is ruled out too: if w / prod(1 + x_i) over k + 1
+    classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
+    above dim - k, so dropping that class gives a passing k-multiset.
     """
 
     params: WallParams
@@ -311,15 +309,16 @@ class ObstructionScan:
     def __iter__(self) -> Iterator[RuleOutResult]:
         for k in range(1, self.k_max + 1):
             result = self.search.rule_out(k)
-            if self.first is None and result.ruled_out:
+            if result.ruled_out:
                 self.first = result
             yield result
+            if result.ruled_out:
+                return
 
     def run(self) -> ObstructionScan:
         """Scan up to the smallest ruled-out k."""
-        for result in self:
-            if result.ruled_out:
-                break
+        for _ in self:
+            pass
         return self
 
     @property

@@ -53,6 +53,7 @@ import numpy as np
 from .clifford import UNITS, CliffordFamily, predicted_sign
 
 POINT_TOL = 1e-12
+# The acceptance contract's pinned tolerances; no option or config field sets them.
 TANGENCY_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -218,36 +219,32 @@ def check_well_defined(
     p: TotalSpacePoint,
     family: CliffordFamily,
     omega: complex,
-    tol: float = TANGENCY_TOL,
 ) -> bool:
     """Representative independence: moving z to omega*z must scale w by omega
-    and leave (u, mu) unchanged, i.e. [omega z, omega w] = [z, w] in T CP^n."""
+    and leave (u, mu) unchanged, i.e. [omega z, omega w] = [z, w] in T CP^n,
+    within TANGENCY_TOL."""
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > POINT_TOL:
         raise ValueError("omega must lie on the unit circle")
     base = evaluate_field(j, p, family)
     moved = evaluate_field(j, TotalSpacePoint(omega * p.z, p.v, p.lam), family)
     expected = AmbientTangent(omega * base.w, base.u, base.mu)
-    return tangent_distance(moved, expected) <= tol
+    return tangent_distance(moved, expected) <= TANGENCY_TOL
 
 
 def quasi_invariance_sign(
-    j: int,
-    kind: InvolutionKind,
-    p: TotalSpacePoint,
-    family: CliffordFamily,
-    tol: float = INVARIANCE_TOL,
+    j: int, kind: InvolutionKind, p: TotalSpacePoint, family: CliffordFamily
 ) -> int | None:
     """The sign s with d(inv) o xi_j = s * xi_j o inv at p, or None on failure.
 
     Both sides are anchored at the same representative of the image point,
-    so the comparison is direct componentwise equality within tol.
+    so the comparison is direct componentwise equality within INVARIANCE_TOL.
     """
     pushed = apply_differential(kind, p, evaluate_field(j, p, family))
     there = evaluate_field(j, apply_involution(kind, p), family)
-    if tangent_distance(pushed, there) <= tol:
+    if tangent_distance(pushed, there) <= INVARIANCE_TOL:
         return 1
-    if tangent_distance(pushed, -there) <= tol:
+    if tangent_distance(pushed, -there) <= INVARIANCE_TOL:
         return -1
     return None
 
@@ -280,13 +277,14 @@ def tangent_matrix(tangents: list[AmbientTangent]) -> np.ndarray:
     )
 
 
-def svd_rank(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> tuple[int, float]:
-    """(rank, smallest/largest singular value) with a relative threshold."""
+def svd_rank(mat: np.ndarray) -> tuple[int, float]:
+    """(rank, smallest/largest singular value), counting singular values
+    above RANK_REL_TOL times the largest."""
     sv = np.linalg.svd(mat, compute_uv=False)
     top = float(sv[0])
     if top == 0.0:
         return 0, 0.0
-    return int(np.sum(sv > rel_tol * top)), float(sv[-1] / top)
+    return int(np.sum(sv > RANK_REL_TOL * top)), float(sv[-1] / top)
 
 
 @dataclass(frozen=True)
@@ -300,13 +298,11 @@ class IndependenceReport:
         return self.rank == self.delta
 
 
-def independence_report(
-    p: TotalSpacePoint, family: CliffordFamily, rel_tol: float = RANK_REL_TOL
-) -> IndependenceReport:
+def independence_report(p: TotalSpacePoint, family: CliffordFamily) -> IndependenceReport:
     """Rank of the full field family at p, certified by singular values."""
     delta = 2 * family.nu + 1 + p.m
     mat = tangent_matrix([evaluate_field(j, p, family) for j in range(1, delta + 1)])
-    rank, min_rel = svd_rank(mat, rel_tol)
+    rank, min_rel = svd_rank(mat)
     return IndependenceReport(rank=rank, delta=delta, min_relative_sv=min_rel)
 
 
@@ -414,11 +410,7 @@ def differential_batch(kind: InvolutionKind, fields: FieldBatch) -> FieldBatch:
 
 
 def quasi_invariance_signs(
-    kind: InvolutionKind,
-    points: PointBatch,
-    fields: FieldBatch,
-    family: CliffordFamily,
-    tol: float = INVARIANCE_TOL,
+    kind: InvolutionKind, points: PointBatch, fields: FieldBatch, family: CliffordFamily
 ) -> np.ndarray:
     """quasi_invariance_sign for every (sample, field), with 0 for no sign.
 
@@ -427,17 +419,13 @@ def quasi_invariance_signs(
     """
     pushed = differential_batch(kind, fields)
     there = evaluate_batch(involution_batch(kind, points), family)
-    plus = pushed.distance(there) <= tol
-    minus = pushed.distance(-there) <= tol
+    plus = pushed.distance(there) <= INVARIANCE_TOL
+    minus = pushed.distance(-there) <= INVARIANCE_TOL
     return np.where(plus, 1, np.where(minus, -1, 0))
 
 
 def well_defined_batch(
-    points: PointBatch,
-    fields: FieldBatch,
-    family: CliffordFamily,
-    omega: complex,
-    tol: float = TANGENCY_TOL,
+    points: PointBatch, fields: FieldBatch, family: CliffordFamily, omega: complex
 ) -> np.ndarray:
     """check_well_defined for every (sample, field), as a bool array (S, delta).
 
@@ -449,13 +437,13 @@ def well_defined_batch(
         raise ValueError("omega must lie on the unit circle")
     moved = evaluate_batch(PointBatch(omega * points.z, points.v, points.lam), family)
     expected = FieldBatch(omega * fields.w, fields.u, fields.mu)
-    return moved.distance(expected) <= tol
+    return moved.distance(expected) <= TANGENCY_TOL
 
 
-def svd_ranks(mats: np.ndarray, rel_tol: float = RANK_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def svd_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """svd_rank for a stack of matrices: (ranks, smallest/largest singular values)."""
     sv = np.linalg.svd(mats, compute_uv=False)
     top = sv[:, 0]
-    ranks = np.sum(sv > rel_tol * top[:, None], axis=-1)  # 0 where top == 0
+    ranks = np.sum(sv > RANK_REL_TOL * top[:, None], axis=-1)  # 0 where top == 0
     with np.errstate(invalid="ignore"):
         return ranks, np.where(top == 0.0, 0.0, sv[:, -1] / top)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -33,27 +33,13 @@ EIGHTH_ROOTS = tuple(
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """The three tolerance knobs of the numerical checks."""
-
-    tangency: float = fl.TANGENCY_TOL
-    invariance: float = fl.INVARIANCE_TOL
-    rank_rel: float = fl.RANK_REL_TOL
-
-    def __post_init__(self) -> None:
-        if min(self.tangency, self.invariance, self.rank_rel) <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class CampaignConfig:
-    """Grid, sampling budget, seed and tolerances of a verification campaign."""
+    """Grid, sampling budget and seed of a verification campaign."""
 
     m_values: tuple[int, ...] = (1, 2, 3, 4)
     n_values: tuple[int, ...] = tuple(range(9))
     samples_per_case: int = 100
     seed: int = DEFAULT_SEED
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
         if not self.m_values or not self.n_values:
@@ -72,9 +58,9 @@ class CampaignConfig:
             "samplesPerCase": self.samples_per_case,
             "seed": self.seed,
             "tolerances": {
-                "tangency": self.tolerances.tangency,
-                "invariance": self.tolerances.invariance,
-                "rankRel": self.tolerances.rank_rel,
+                "tangency": fl.TANGENCY_TOL,
+                "invariance": fl.INVARIANCE_TOL,
+                "rankRel": fl.RANK_REL_TOL,
             },
         }
 
@@ -118,7 +104,6 @@ class CaseTimings:
 def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
     """All four check categories for one (m, n); returns (record, timings)."""
     params = WallParams(m, n)
-    tol = config.tolerances
     family = family_for(n)
     timings = CaseTimings()
 
@@ -174,22 +159,19 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     t0 = time.perf_counter()
     base = fl.evaluate_batch(points, family)
     max_residuals = [float(r.max()) for r in fl.tangency_residuals_batch(points, base)]
-    ranks, rel = fl.svd_ranks(base.matrix(), tol.rank_rel)
+    ranks, rel = fl.svd_ranks(base.matrix())
     ranks_ok = bool((ranks == delta).all())
     min_rel_sv = float(rel.min())
     max_rel_sv = float(rel.max())
     timings.independence += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    signs = {
-        kind: fl.quasi_invariance_signs(kind, points, base, family, tol.invariance)
-        for kind in kinds
-    }
+    signs = {kind: fl.quasi_invariance_signs(kind, points, base, family) for kind in kinds}
     timings.signs += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     well_defined_ok = all(
-        fl.well_defined_batch(points, base, family, omega, tol.tangency).all()
+        fl.well_defined_batch(points, base, family, omega).all()
         for omega in EIGHTH_ROOTS
     )
     timings.well_defined += time.perf_counter() - t0
@@ -215,7 +197,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
                 }
             )
 
-    tangency_ok = max(max_residuals) <= tol.tangency
+    tangency_ok = max(max_residuals) <= fl.TANGENCY_TOL
 
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()

@@ -4,9 +4,12 @@ Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines;
 `wallspan accept` drives the same checks from the command line.
 """
 
+import numpy as np
 import pytest
 
+from wallspan import fields
 from wallspan.acceptance import run_acceptance
+from wallspan.cli import main
 
 CRITERIA = {
     1: "Clifford family exactness",
@@ -36,3 +39,20 @@ def test_all_criteria_present_and_passed(acceptance):
     assert [c.cid for c in acceptance.criteria] == sorted(CRITERIA)
     assert acceptance.passed
     assert acceptance.campaign.passed
+
+
+def test_accept_fails_small_representative_dependence(monkeypatch, capsys):
+    # a 1e-6 conj(z_0) term in one field breaks representative independence
+    # far above the pinned tolerances; no flag can loosen them to let it pass
+    evaluate = fields.evaluate_batch
+
+    def with_extra_term(points, family):
+        f = evaluate(points, family)
+        w = f.w.copy()
+        w[:, -1, 0] += 1e-6 * np.conj(points.z[:, 0])
+        return fields.FieldBatch(w, f.u, f.mu)
+
+    monkeypatch.setattr(fields, "evaluate_batch", with_extra_term)
+    assert main(["accept"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] criterion 4" in out and "acceptance: FAIL" in out

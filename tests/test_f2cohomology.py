@@ -17,7 +17,6 @@ from wallspan.f2cohomology import (
     sw_upper_bound,
     total_sw_wall,
     unit_inverse,
-    virtual_sw_rules_out,
     wall_presentation,
 )
 from wallspan.invariants import WallParams
@@ -242,7 +241,7 @@ def test_fiber_restriction_of_total_class_is_cpn_total_class():
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1), (4, 3)])
 def test_rule_out_k1_always_admissible(m, n):
     # the all-zero multiset works at k = 1 since w has no top-degree part
-    result = virtual_sw_rules_out(WallParams(m, n), 1)
+    result = VirtualSwSearch(WallParams(m, n)).rule_out(1)
     assert not result.ruled_out
     assert result.witnesses[-1].counts == (1, 0, 0, 0)
     assert result.witnesses[-1].failure_degree is None
@@ -250,8 +249,8 @@ def test_rule_out_k1_always_admissible(m, n):
 
 def test_rule_out_2_2():
     p = WallParams(2, 2)
-    assert virtual_sw_rules_out(p, 4).ruled_out
-    result3 = virtual_sw_rules_out(p, 3)
+    assert VirtualSwSearch(p).rule_out(4).ruled_out
+    result3 = VirtualSwSearch(p).rule_out(3)
     assert not result3.ruled_out
 
     # re-derive the recorded witness through the public ring operations
@@ -269,7 +268,7 @@ def test_rule_out_2_2():
 @pytest.mark.parametrize("n", [2, 4])
 def test_rule_out_n_even_at_m_plus_2(m, n):
     p = WallParams(m, n)
-    result = virtual_sw_rules_out(p, m + 2)
+    result = VirtualSwSearch(p).rule_out(m + 2)
     assert result.ruled_out
     assert all(w.failure_degree is not None for w in result.witnesses)
     # every recorded failure lies in a forbidden degree
@@ -289,9 +288,22 @@ def test_rule_out_n_even_at_m_plus_2(m, n):
 def test_rule_out_range_errors():
     p = WallParams(2, 2)
     with pytest.raises(ValueError):
-        virtual_sw_rules_out(p, 0)
+        VirtualSwSearch(p).rule_out(0)
     with pytest.raises(ValueError):
-        virtual_sw_rules_out(p, p.dim + 1)
+        VirtualSwSearch(p).rule_out(p.dim + 1)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 5)])
+def test_every_k_past_the_first_ruled_out_is_ruled_out(m, n):
+    # the lemma behind the closed-form entries of `wallspan cohomology`
+    p = WallParams(m, n)
+    search = VirtualSwSearch(p)
+    first = ObstructionScan(p, p.dim).run().first
+    assert first.k < p.dim
+    for k in range(first.k + 1, p.dim + 1):
+        result = search.rule_out(k)
+        assert result.ruled_out
+        assert len(result.witnesses) == (k + 1) * (k + 2) * (k + 3) // 6
 
 
 def test_sw_upper_bound_values():
@@ -329,7 +341,8 @@ def test_obstruction_scan_one_path():
     scan = ObstructionScan(p, p.dim).run()
     assert scan.first.k == 4 and scan.first.ruled_out
     assert scan.upper_bound == sw_upper_bound(p) == 3
-    assert [r.k for r in ObstructionScan(p, p.dim)] == list(range(1, p.dim + 1))
+    # iteration stops at the first ruled-out k (every larger k is ruled out too)
+    assert [r.k for r in ObstructionScan(p, p.dim)] == [1, 2, 3, 4]
     assert scan.w == total_sw_wall(p)
     # a capped scan that rules nothing out leaves the bound undetermined
     capped = ObstructionScan(p, 2).run()

@@ -9,13 +9,7 @@ import pytest
 from wallspan import f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family, verify_family
-from wallspan.harness import (
-    CampaignConfig,
-    Tolerances,
-    report_to_json,
-    run_campaign,
-    run_case,
-)
+from wallspan.harness import CampaignConfig, report_to_json, run_campaign, run_case
 
 SMALL = CampaignConfig(m_values=(1, 2), n_values=(0, 1), samples_per_case=5, seed=7)
 
@@ -30,8 +24,6 @@ def test_config_validation():
         CampaignConfig(m_values=(0,))
     with pytest.raises(ValueError):
         CampaignConfig(samples_per_case=0)
-    with pytest.raises(ValueError):
-        Tolerances(tangency=0.0)
 
 
 def test_config_hash_sensitivity():
@@ -66,9 +58,13 @@ def test_campaign_grid_complete_and_deterministic():
 
 
 def _use_family(monkeypatch, n, matrices):
+    # replaces the campaign's family at this n only; other n keep the real one
     family = replace(build_family(n), matrices=matrices)
-    monkeypatch.setattr(harness, "family_for", lambda _n: family)
-    monkeypatch.setattr(harness, "family_report_for", lambda _n: verify_family(family))
+    family_for, report_for = harness.family_for, harness.family_report_for
+    monkeypatch.setattr(harness, "family_for", lambda k: family if k == n else family_for(k))
+    monkeypatch.setattr(
+        harness, "family_report_for", lambda k: verify_family(family) if k == n else report_for(k)
+    )
 
 
 def test_run_case_builds_total_class_once(monkeypatch):
@@ -167,6 +163,8 @@ def test_cli_cohomology(capsys):
     assert ruled[3] is False and ruled[4] is True
     witnesses = next(e for e in obj["ruleOuts"] if e["k"] == 4)["witnesses"]
     assert witnesses and all(w["failureDegree"] is not None for w in witnesses)
+    later = [(e["k"], e["ruledOut"], e["witnessCount"]) for e in obj["ruleOuts"] if e["k"] > 4]
+    assert later == [(5, True, 56), (6, True, 84), (7, True, 120)]
     # a scan capped below the first ruled-out k decides nothing
     assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "2", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -220,37 +218,51 @@ def test_cli_unknown_command():
     assert exc.value.code == 2
 
 
-def test_cli_fields_reports_failure_with_absurd_tolerance(capsys):
-    argv = ["fields", "--m", "1", "--n", "0", "--samples", "2", "--tol-tangency", "1e-30"]
-    assert main(argv) == 1
+def test_cli_reports_broken_family(capsys, monkeypatch):
+    a = build_family(1).matrices
+    _use_family(monkeypatch, 1, (a[0], a[0], a[2]))
+    assert main(["fields", "--m", "2", "--n", "1", "--samples", "5"]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL]" in out
+    assert "[FAIL]" in out and "rank deficiency observed" in out
+    assert main(["accept"]) == 1
+    assert "acceptance: FAIL" in capsys.readouterr().out
 
 
-def test_cli_rejects_nonpositive_tolerance(capsys):
-    argv = ["fields", "--m", "1", "--n", "0", "--samples", "2", "--tol-rank", "0"]
-    assert main(argv) == 2
+def test_cli_rejects_removed_flags():
+    # the tolerances and accept's grid are pinned: no flag sets them
+    for argv in (
+        ["fields", "--m", "1", "--n", "0", "--samples", "2", "--tol-rank", "1"],
+        ["accept", "--samples", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_cli_rejects_bad_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("WALLSPAN_SEED", "abc")
+    for argv in (["invariants", "--m", "1", "--n", "0"], ["fields", "--m", "1", "--n", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "WALLSPAN_SEED" in err
 
 
 def test_cli_rejects_zero_samples(capsys):
     assert main(["fields", "--m", "1", "--n", "0", "--samples", "0"]) == 2
 
 
-def test_cli_accept_json_small_grid(capsys):
-    argv = ["accept", "--m", "1", "--n", "0:1", "--samples", "5", "--format", "json"]
-    assert main(argv) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert [c["id"] for c in obj["criteria"]] == list(range(1, 8))
-    assert obj["allPassed"]
-
-
 def test_cli_accept_json_byte_identical(capsys):
-    argv = ["accept", "--m", "1", "--n", "0:1", "--samples", "3", "--format", "json"]
+    # accept runs the pinned default grid
+    argv = ["accept", "--format", "json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
+    obj = json.loads(first)
+    assert [c["id"] for c in obj["criteria"]] == list(range(1, 8))
+    assert obj["allPassed"]
+    assert obj["campaignSummary"]["caseCount"] == 36
+    assert all("elapsedSeconds" not in c for c in obj["criteria"])
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert all("elapsedSeconds" not in c for c in json.loads(first)["criteria"])
 
 
 def test_cli_accept_default_grid(capsys):
