@@ -2,11 +2,12 @@
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from wallspan import f2cohomology, fields, harness
+from wallspan import cli, f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family, verify_family
 from wallspan.harness import CampaignConfig, report_to_json, run_campaign, run_case
@@ -249,6 +250,17 @@ def test_cli_rejects_bad_seed_env(capsys, monkeypatch):
 
 def test_cli_rejects_zero_samples(capsys):
     assert main(["fields", "--m", "1", "--n", "0", "--samples", "0"]) == 2
+
+
+def test_cli_accept_json_small_grid(capsys, monkeypatch):
+    # accept takes no grid flags; the same JSON report path runs on a small grid
+    small = partial(CampaignConfig, m_values=(1,), n_values=(0, 1), samples_per_case=5)
+    monkeypatch.setattr(cli, "CampaignConfig", small)
+    assert main(["accept", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [c["id"] for c in obj["criteria"]] == list(range(1, 8))
+    assert obj["allPassed"]
+    assert obj["campaignSummary"]["caseCount"] == 2
 
 
 def test_cli_accept_json_byte_identical(capsys):
