@@ -50,6 +50,8 @@ class CampaignConfig:
             raise ValueError("every n must be >= 0")
         if self.samples_per_case < 1:
             raise ValueError("samples_per_case must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -148,12 +150,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     kinds = (fl.InvolutionKind.SIGMA, fl.InvolutionKind.TAU)
 
     t0 = time.perf_counter()
-    points = fl.PointBatch.stack(
-        [
-            fl.sample_point(n, m, fl.stream(config.seed, m, n, i))
-            for i in range(config.samples_per_case)
-        ]
-    )
+    points = fl.sample_batch(n, m, config.seed, config.samples_per_case)
     timings.sampling += time.perf_counter() - t0
 
     t0 = time.perf_counter()

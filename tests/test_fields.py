@@ -7,6 +7,7 @@ import pytest
 
 from wallspan.clifford import build_family
 from wallspan.fields import (
+    _pcg64_states,
     AmbientTangent,
     InvolutionKind,
     PointBatch,
@@ -20,6 +21,7 @@ from wallspan.fields import (
     independence_report,
     quasi_invariance_sign,
     quasi_invariance_signs,
+    sample_batch,
     sample_point,
     stream,
     svd_rank,
@@ -72,6 +74,63 @@ def test_point_validation():
         TotalSpacePoint(np.array([1.0 + 0j]), np.array([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         TotalSpacePoint(np.array([1.0 + 0j]), np.array([1.0]), 2.0)
+
+
+# -- the batched sampler against numpy's seeding and the per-point reference --------
+
+ORACLE_SEEDS = [0, 42, 7919, 2**32 - 1, 2**32, 2**64 + 5, 10**30]
+# on the default grid, then off it: large n, and multi-word m and n
+ORACLE_KEYS = [(1, 0), (4, 8), (7, 13), (2**32 + 1, 2**40)]
+DEFAULT_GRID = [(m, n) for m in (1, 2, 3, 4) for n in range(9)]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_pcg64_states_match_numpy_seeding(seed):
+    for m, n in ORACLE_KEYS:
+        states = _pcg64_states(seed, m, n, 100)
+        for i, state in enumerate(states):
+            assert state == np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(m, n, i))).state
+
+
+def _assert_same_bytes(batch, points):
+    ref = PointBatch.stack(points)
+    for name in ("z", "v", "lam"):
+        got, want = getattr(batch, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [42, 7919])
+def test_sample_batch_matches_reference_bytes(seed):
+    for m, n in DEFAULT_GRID:
+        batch = sample_batch(n, m, seed, 100)
+        _assert_same_bytes(batch, [sample_point(n, m, stream(seed, m, n, i)) for i in range(100)])
+
+
+def test_sample_batch_single_sample():
+    for seed, m, n in ((42, 1, 0), (7919, 4, 8), (10**30, 3, 5)):
+        _assert_same_bytes(sample_batch(n, m, seed, 1), [sample_point(n, m, stream(seed, m, n, 0))])
+
+
+def test_sample_batch_rejects_negative_seed():
+    with pytest.raises(ValueError, match=">= 0"):
+        sample_batch(1, 1, -1, 3)
+
+
+@pytest.mark.parametrize(
+    "slot,message",
+    [("z", "z must be a unit vector"), ("v", "v must be a unit vector"), ("lam", "lambda must lie")],
+)
+def test_point_batch_check_unit(slot, message):
+    batch = sample_batch(2, 3, 42, 5)
+    batch.check_unit()
+    bad = getattr(batch, slot).copy()
+    bad[3] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match=f"sample 3: {message}"):
+        replace(batch, **{slot: bad}).check_unit()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match=f"sample 3: {message}"):
+        replace(batch, **{slot: bad}).check_unit()
 
 
 # -- the two field constructions -------------------------------------------------

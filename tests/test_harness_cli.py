@@ -25,6 +25,8 @@ def test_config_validation():
         CampaignConfig(m_values=(0,))
     with pytest.raises(ValueError):
         CampaignConfig(samples_per_case=0)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        CampaignConfig(seed=-1)
 
 
 def test_config_hash_sensitivity():
@@ -246,6 +248,26 @@ def test_cli_rejects_bad_seed_env(capsys, monkeypatch):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "WALLSPAN_SEED" in err
+
+
+def test_cli_rejects_negative_seed(capsys, monkeypatch):
+    expected = "error: seed must be >= 0, got -1\n"
+    for argv in (["fields", "--seed", "-1"], ["accept", "--seed", "-1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected
+    monkeypatch.setenv("WALLSPAN_SEED", "-1")
+    for argv in (["fields"], ["accept"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("seed", [2**32, 10**30])
+def test_cli_multiword_seed_runs(capsys, seed):
+    # seeds past 32 bits give SeedSequence more than one entropy word
+    argv = ["fields", "--m", "1:2", "--n", "0:2", "--samples", "5", "--seed", str(seed), "--format", "json"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["seed"] == seed and obj["summary"]["allPassed"]
 
 
 def test_cli_rejects_zero_samples(capsys):
