@@ -43,13 +43,15 @@ omega*z for each root omega, and the ranks come from one stacked SVD.  The
 campaign harness uses the engine; the tests hold it to the reference within
 1e-12.
 
-`sample_batch` draws the S points of a case bit for bit as `sample_point`
-does from `stream(seed, m, n, i)`, i < S: it computes every substream's
-PCG64 state in one vectorised pass of numpy's `SeedSequence` seeding, sets
-one reused generator to each state in turn and draws straight into the
-stacked arrays.  The norms stay per row, as the dot products that
-`np.linalg.norm` takes, because a batched sum of squares rounds differently
-in the last bit.
+Each case (m, n) draws its samples from one RNG stream, `stream(seed, m, n)`.
+`sample_batch` takes the S points of a case in one standard_normal draw of
+shape (S, 2(n+1) + m+1 + 2), one row per point: Re z, Im z, v and a Gaussian
+pair (a, b) with lambda = (a + ib)/|a + ib|, uniform on S^1.  That is byte
+for byte what S successive `sample_point` calls on the stream give.  The draw
+is prefix-stable: the first k rows of an S-point draw are the k-point draw,
+so sample i is the last point of `sample_batch(n, m, seed, i + 1)`.  The
+norms stay per row, as the dot products that `np.linalg.norm` takes, because
+a batched sum of squares rounds differently in the last bit.
 """
 
 from __future__ import annotations
@@ -123,25 +125,28 @@ class AmbientTangent:
         return AmbientTangent(-self.w, -self.u, -self.mu)
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic RNG substream: (seed, key) always yields the same state.
+def stream(seed: int, m: int, n: int) -> np.random.Generator:
+    """The RNG stream of case (m, n), which draws all its samples in turn.
 
-    The per-point reference for `sample_batch`, which derives the same states.
+    (seed, m, n) always yields the same state.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(m, n))))
 
 
 def sample_point(n: int, m: int, rng: np.random.Generator) -> TotalSpacePoint:
-    """Rotation-invariant sample: normalised Gaussian z, v; uniform lambda.
+    """Rotation-invariant sample: normalised Gaussian z, v and lambda = (a + ib)/|a + ib|.
 
-    The per-point reference for `sample_batch`.
+    The per-point reference for `sample_batch`: z, v, then (a, b) are one row of its draw.
     """
     z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     z /= np.linalg.norm(z)
     v = rng.standard_normal(m + 1)
     v /= np.linalg.norm(v)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return TotalSpacePoint(z, v, complex(np.cos(theta), np.sin(theta)))
+    a, b = rng.standard_normal(2)
+    r = np.hypot(a, b)
+    return TotalSpacePoint(z, v, complex(a / r, b / r))
 
 
 def xi_high(j: int, p: TotalSpacePoint) -> AmbientTangent:
@@ -360,113 +365,23 @@ class PointBatch:
                 raise ValueError(f"sample {bad[0]}: {message}")
 
 
-# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) seeding constants
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(x: int) -> list[int]:
-    """x as little-endian 32-bit words, [0] for 0, as SeedSequence reads an int."""
-    if x < 0:
-        raise ValueError(f"seed and key must be >= 0, got {x}")
-    words = [x & _MASK32]
-    x >>= 32
-    while x:
-        words.append(x & _MASK32)
-        x >>= 32
-    return words
-
-
-def _xorshift(x: np.ndarray) -> np.ndarray:
-    return x ^ (x >> np.uint32(16))
-
-
-def _pcg64_states(seed: int, m: int, n: int, count: int) -> list[dict]:
-    """PCG64(SeedSequence(seed, spawn_key=(m, n, i))).state for i < count.
-
-    SeedSequence's pool mixing and generate_state(4, uint64) run over all
-    spawn keys at once as wrapping uint32 array arithmetic (the hash
-    constants evolve the same way for every key); PCG64's seeding then runs
-    per key on Python ints.
-    """
-    run_entropy = _words(seed)
-    run_entropy += [0] * (_POOL_SIZE - len(run_entropy))  # padded when a spawn key is given
-    prefix = run_entropy + _words(m) + _words(n)
-    entropy = np.empty((len(prefix) + 1, count), dtype=np.uint32)  # one row per word
-    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(count, dtype=np.uint32)
-
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        return _xorshift(value * np.uint32(hash_const))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _xorshift(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
-
-    # entropy never falls short of the pool: the seed alone is padded to it
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    out = []
-    for k in range(8):  # 4 uint64 words, each two little-endian uint32 words
-        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        out.append(_xorshift(value * np.uint32(hash_const)).astype(np.uint64))
-    seeds = [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*seeds):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = (inc + (s_hi << 64 | s_lo)) & _MASK128  # step from 0, add initstate
-        state = (state * _PCG64_MULT + inc) & _MASK128  # step
-        pcg = {"state": state, "inc": inc}
-        states.append({"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0})
-    return states
-
-
 def sample_batch(n: int, m: int, seed: int, count: int) -> PointBatch:
-    """The points sample_point(n, m, stream(seed, m, n, i)) for i < count, bit for bit.
+    """The points of `count` successive sample_point(n, m, rng) calls on one
+    rng = stream(seed, m, n), byte for byte.
 
-    One reused generator is set to each substream's state; a single
-    standard_normal call of width 2(n+1) + m+1 draws Re z, Im z and v, the
-    same stream as sample_point's three calls, and uniform(0, 2 pi) draws
-    lambda's angle.
+    One standard_normal draw of shape (count, 2(n+1) + m+1 + 2) holds, per
+    row, Re z, Im z, v and the pair (a, b) that lambda normalises.
     """
-    draws = np.empty((count, 2 * (n + 1) + m + 1))
-    theta = np.empty(count)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for i, state in enumerate(_pcg64_states(seed, m, n, count)):
-        bitgen.state = state
-        rng.standard_normal(out=draws[i])
-        theta[i] = rng.uniform(0.0, 2.0 * np.pi)
+    draws = stream(seed, m, n).standard_normal((count, 2 * (n + 1) + m + 3))
     z = draws[:, : n + 1] + 1j * draws[:, n + 1 : 2 * n + 2]
     # per-row dots as np.linalg.norm takes them: a batched sum rounds differently
     z /= np.sqrt([row.real.dot(row.real) + row.imag.dot(row.imag) for row in z])[:, None]
-    v = draws[:, 2 * n + 2 :]
+    v = draws[:, 2 * n + 2 : -2]
     v = v / np.sqrt([row.dot(row) for row in v])[:, None]
-    lam = np.empty(count, dtype=np.complex128)
-    lam.real = np.cos(theta)
-    lam.imag = np.sin(theta)
+    a, b = draws[:, -2], draws[:, -1]
+    r = np.hypot(a, b)
+    lam = (a / r).astype(np.complex128)
+    lam.imag = b / r
     points = PointBatch(z, v, lam)
     points.check_unit()
     return points

@@ -5,8 +5,8 @@ check categories: exact Clifford identities, quasi-invariance sign tables,
 linear-independence statistics, and the cohomological upper bound.  Records
 carry the master seed and a config hash, and the assembled report is a
 plain dict whose JSON serialisation is byte-identical for identical
-configs (no timestamps; per-point RNG substreams are derived from the seed
-and the case coordinates only).
+configs (no timestamps; each case draws its samples from one RNG stream
+keyed by the seed and the case coordinates (m, n) only).
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ class CampaignConfig:
             raise ValueError("every m must be >= 1")
         if any(n < 0 for n in self.n_values):
             raise ValueError("every n must be >= 0")
+        for name, values in (("m", self.m_values), ("n", self.n_values)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {name} values in {list(values)}")
         if self.samples_per_case < 1:
             raise ValueError("samples_per_case must be >= 1")
         if self.seed < 0:
@@ -331,6 +334,12 @@ def render_campaign_text(report: dict[str, Any]) -> str:
             f"minRelSv={case['independence']['minOfMinRelativeSv']:.3e}"
         )
         if not case["passed"]:
+            checks = case["formulas"]["checks"] + case["cohomology"]["checks"]
+            failed = [c["name"] for c in checks if not c["passed"]]
+            if not case["clifford"]["countOk"]:
+                failed.append(f"countOk ({case['clifford']['matrixCount']} matrices)")
+            if failed:
+                lines.append(f"    failed checks: {failed}")
             if not case["clifford"]["allPassed"]:
                 lines.append(f"    clifford failures: {case['clifford']['failures']}")
             bad_signs = [e for e in case["signs"]["entries"] if not e["passed"]]

@@ -10,7 +10,13 @@ import pytest
 from wallspan import cli, f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family, verify_family
-from wallspan.harness import CampaignConfig, report_to_json, run_campaign, run_case
+from wallspan.harness import (
+    CampaignConfig,
+    render_campaign_text,
+    report_to_json,
+    run_campaign,
+    run_case,
+)
 
 SMALL = CampaignConfig(m_values=(1, 2), n_values=(0, 1), samples_per_case=5, seed=7)
 
@@ -27,6 +33,10 @@ def test_config_validation():
         CampaignConfig(samples_per_case=0)
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
         CampaignConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"repeated m values in \[1, 2, 1\]"):
+        CampaignConfig(m_values=(1, 2, 1))
+    with pytest.raises(ValueError, match=r"repeated n values in \[0, 0\]"):
+        CampaignConfig(n_values=(0, 0))
 
 
 def test_config_hash_sensitivity():
@@ -120,6 +130,39 @@ def test_non_equivariant_field_fails_roots(monkeypatch, conjugate, passed):
     monkeypatch.setattr(fields, "evaluate_batch", with_extra_term)
     record, _ = run_case(1, 1, SMALL)
     assert record["wellDefined"]["passed"] is passed
+
+
+# -- the text report names what failed -------------------------------------------
+
+
+def _fail_formula(case):
+    case["formulas"]["checks"][1]["passed"] = False
+    return "    failed checks: ['delta_equals_pspan']"
+
+
+def _fail_clifford_count(case):
+    case["clifford"]["matrixCount"] = 2
+    case["clifford"]["countOk"] = False
+    return "    failed checks: ['countOk (2 matrices)']"
+
+
+def _fail_cohomology(case):
+    case["cohomology"]["checks"][1]["passed"] = False
+    return "    failed checks: ['top_degree_sw_vanishes']"
+
+
+@pytest.mark.parametrize("inject", [_fail_formula, _fail_clifford_count, _fail_cohomology])
+def test_text_report_names_failing_check(inject):
+    report = run_campaign(SMALL).report
+    case = report["cases"][1]  # Q(1, 1): nu = 1, three Clifford matrices
+    expected = inject(case)
+    case["passed"] = False
+    report["summary"].update(allPassed=False, failingCases=["(1,1)"])
+    lines = render_campaign_text(report).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("[FAIL] Q(1,1)"))
+    assert lines[at + 1] == expected
+    assert lines[at + 2].startswith("[PASS] Q(2,0)")
+    assert lines[-1] == "failing cases: ['(1,1)']"
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -268,6 +311,15 @@ def test_cli_multiword_seed_runs(capsys, seed):
     assert main(argv) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["seed"] == seed and obj["summary"]["allPassed"]
+
+
+@pytest.mark.parametrize("flag,spec,name", [("--m", "1,1", "m"), ("--n", "0:2,1", "n")])
+def test_cli_rejects_repeated_grid_values(capsys, flag, spec, name):
+    argv = ["fields", "--m", "1", "--n", "0", flag, spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: repeated {name} values in ")
 
 
 def test_cli_rejects_zero_samples(capsys):
