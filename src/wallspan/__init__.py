@@ -30,7 +30,6 @@ from .clifford import (
 from .f2cohomology import (
     GradedF2Poly,
     MultisetWitness,
-    ObstructionScan,
     RuleOutResult,
     VirtualSwSearch,
     WallRing,

@@ -11,7 +11,7 @@ constants of `fields` or the grid that `wallspan accept` runs.
    the 8th roots of unity;
 5. the mod-2 obstruction rules out m+2 line fields for n in {2, 4},
    m in {1..4}, under 30 seconds;
-6. regression of the stable-span table for CP^n, exact;
+6. regression of the nu and stable-span table for CP^n, exact;
 7. closed form == fibration bound on m in 1..10, n in 0..32, and the
    obstruction bound is never below the closed form on the default grid.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .clifford import build_family, verify_family
 from .f2cohomology import VirtualSwSearch
 from .harness import CampaignConfig, CampaignResult, run_campaign
-from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
+from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
 # (n+1, nu(n+1), sspan CP^n) regression rows for criterion 6.
 SSPAN_TABLE = (
@@ -175,11 +175,12 @@ def criterion_rule_out_even() -> CriterionResult:
 
 def criterion_sspan_table() -> CriterionResult:
     start = time.perf_counter()
-    bad = [
-        f"n+1={n_plus_1}: sspan {sspan_cpn(n_plus_1 - 1)} != {expected}"
-        for (n_plus_1, _, expected) in SSPAN_TABLE
-        if sspan_cpn(n_plus_1 - 1) != expected
-    ]
+    bad = []
+    for n_plus_1, nu_expected, sspan_expected in SSPAN_TABLE:
+        if nu(n_plus_1) != nu_expected:
+            bad.append(f"n+1={n_plus_1}: nu {nu(n_plus_1)} != {nu_expected}")
+        if sspan_cpn(n_plus_1 - 1) != sspan_expected:
+            bad.append(f"n+1={n_plus_1}: sspan {sspan_cpn(n_plus_1 - 1)} != {sspan_expected}")
     elapsed = time.perf_counter() - start
     passed = not bad
     details = f"{len(SSPAN_TABLE)} table rows reproduced" if passed else f"failures: {bad}"

@@ -11,14 +11,13 @@ always runs the default grid, so its only inputs are the seed and the format.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any, Sequence
 
 from .acceptance import run_acceptance
 from .clifford import build_family, verify_family
-from .f2cohomology import ObstructionScan
+from .f2cohomology import VirtualSwSearch
 from .harness import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
@@ -26,6 +25,7 @@ from .harness import (
     render_campaign_text,
     report_to_json,
     run_campaign,
+    total_sw_json,
 )
 from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
@@ -61,7 +61,7 @@ def default_seed() -> int:
 
 def emit(obj: dict[str, Any], fmt: str, text: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(report_to_json(obj))
     else:
         sys.stdout.write(text)
 
@@ -107,33 +107,28 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
     p = WallParams(args.m, args.n)
-    k_max = args.k_max if args.k_max is not None else p.dim
-    if not 1 <= k_max <= p.dim:
-        raise ValueError(f"--k-max must lie in 1..dim = {p.dim}, got {k_max}")
     pspan = pspan_wall(p)
-    scan = ObstructionScan(p, k_max)
-    w = scan.w
+    search = VirtualSwSearch(p)
     rule_outs = []
-    for result in scan:
+    for last in search.scan():
         entry: dict[str, Any] = {
-            "k": result.k,
-            "ruledOut": result.ruled_out,
-            "maxAllowedDegree": result.max_allowed_degree,
+            "k": last.k,
+            "ruledOut": last.ruled_out,
+            "maxAllowedDegree": last.max_allowed_degree,
         }
-        if result.ruled_out:
-            entry["witnesses"] = [x.to_json_dict() for x in result.witnesses]
+        if last.ruled_out:
+            entry["witnesses"] = [x.to_json_dict() for x in last.witnesses]
         else:
-            entry["admissibleMultiset"] = result.witnesses[-1].describe()
+            entry["admissibleMultiset"] = last.witnesses[-1].describe()
         rule_outs.append(entry)
     # the scan stopped at the first ruled-out k, since every larger k is ruled
     # out too: all (k+1)(k+2)(k+3)/6 multisets of k classes in {0, x, c, x+c} fail
-    for k in range(len(rule_outs) + 1, k_max + 1):
+    for k in range(last.k + 1, p.dim + 1):
         count = (k + 1) * (k + 2) * (k + 3) // 6
         rule_outs.append(
             {"k": k, "ruledOut": True, "maxAllowedDegree": p.dim - k, "witnessCount": count}
         )
-    upper = scan.upper_bound
-    bound_ok = None if upper is None else upper >= pspan
+    bound_ok = last.bound >= pspan
 
     obj: dict[str, Any] = {
         "schemaVersion": SCHEMA_VERSION,
@@ -143,16 +138,13 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         "n": p.n,
         "dim": p.dim,
         "pspan": pspan,
-        "totalSw": w.render(),
-        "totalSwByDegree": [
-            {"degree": q, "value": w.component(q).render()} for q in w.degrees()
-        ],
-        "kMax": k_max,
+        **total_sw_json(search.w),
+        "kMax": p.dim,  # the scan always runs to dim; the key goes with schema v2
         "ruleOuts": rule_outs,
-        "swUpperBound": upper,
+        "swUpperBound": last.bound,
         "boundNotBelowPspan": bound_ok,
     }
-    lines = [f"w(Q({p.m},{p.n})) = {w.render()}"]
+    lines = [f"w(Q({p.m},{p.n})) = {obj['totalSw']}"]
     for piece in obj["totalSwByDegree"]:
         lines.append(f"  w_{piece['degree']} = {piece['value']}")
     for entry in rule_outs:
@@ -165,12 +157,9 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             lines.append(
                 f"k = {entry['k']:2d}: admissible, witness {entry['admissibleMultiset']}"
             )
-    if upper is None:
-        lines.append(f"no k <= {k_max} ruled out; bound not determined (pspan = {pspan})")
-    else:
-        lines.append(f"sw upper bound = {upper} (pspan = {pspan})")
+    lines.append(f"sw upper bound = {last.bound} (pspan = {pspan})")
     emit(obj, args.format, "\n".join(lines) + "\n")
-    return CHECK_FAILED if bound_ok is False else 0
+    return 0 if bound_ok else CHECK_FAILED
 
 
 def cmd_clifford(args: argparse.Namespace) -> int:
@@ -219,39 +208,28 @@ def cmd_fields(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = run_campaign(config)
-    if args.format == "json":
-        sys.stdout.write(report_to_json(result.report))
-    else:
-        sys.stdout.write(render_campaign_text(result.report))
+    emit(result.report, args.format, render_campaign_text(result.report))
     return 0 if result.passed else CHECK_FAILED
 
 
 def cmd_accept(args: argparse.Namespace) -> int:
     result = run_acceptance(CampaignConfig(seed=args.seed))
-    if args.format == "json":
-        obj = {
-            "schemaVersion": SCHEMA_VERSION,
-            "tool": "wallspan",
-            "kind": "acceptance",
-            "seed": args.seed,
-            "configHash": result.campaign.report["configHash"],
-            "criteria": [
-                {
-                    "id": c.cid,
-                    "title": c.title,
-                    "passed": c.passed,
-                    "details": c.details,
-                }
-                for c in result.criteria
-            ],
-            "allPassed": result.passed,
-            "campaignSummary": result.campaign.report["summary"],
-        }
-        sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
-    else:
-        for c in result.criteria:
-            sys.stdout.write(c.line() + "\n")
-        sys.stdout.write("acceptance: " + ("PASS" if result.passed else "FAIL") + "\n")
+    obj = {
+        "schemaVersion": SCHEMA_VERSION,
+        "tool": "wallspan",
+        "kind": "acceptance",
+        "seed": args.seed,
+        "configHash": result.campaign.report["configHash"],
+        "criteria": [
+            {"id": c.cid, "title": c.title, "passed": c.passed, "details": c.details}
+            for c in result.criteria
+        ],
+        "allPassed": result.passed,
+        "campaignSummary": result.campaign.report["summary"],
+    }
+    lines = [c.line() for c in result.criteria]
+    lines.append("acceptance: " + ("PASS" if result.passed else "FAIL"))
+    emit(obj, args.format, "\n".join(lines) + "\n")
     return 0 if result.passed else CHECK_FAILED
 
 
@@ -275,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = subparsers.add_parser("cohomology", help="total SW class and obstruction bound")
     p_coh.add_argument("--m", type=int, required=True)
     p_coh.add_argument("--n", type=int, required=True)
-    p_coh.add_argument("--k-max", type=int, default=None)
     _add_format(p_coh)
     p_coh.set_defaults(func=cmd_cohomology)
 

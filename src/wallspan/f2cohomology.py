@@ -9,7 +9,9 @@ the closed rules c^(m+1) -> x c^m, c^(m+2) -> 0, x^2 -> 0 and d^(n+1) -> 0.
 On the ring sits the mod-2 obstruction to splitting k line bundles off the
 tangent bundle: if k independent line fields exist, w(Q) / prod(1 + x_i) has
 no component above degree dim - k for some degree-1 classes x_1, ..., x_k.
-Ruling out every choice of the x_i bounds the projective span by k - 1.
+Ruling out every choice of the x_i bounds the projective span by k - 1, and
+then every larger k is ruled out too, so `VirtualSwSearch.scan` stops at the
+smallest ruled-out k.
 
 The virtual class has a closed form.  With U = (1 + c)^(-1) = sum_{i <= m+1} c^i,
 x^2 = 0 gives (1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
@@ -22,7 +24,7 @@ is a running XOR along the c axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator
 
@@ -153,10 +155,6 @@ class GradedF2Poly:
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.unique(self.ring.degree_grid[self.coeffs != 0]).tolist())
 
-    def max_degree(self) -> int:
-        """Top degree with a nonzero component; -1 for the zero polynomial."""
-        return max(self.degrees(), default=-1)
-
     def render(self) -> str:
         ordered = sorted(self.monos, key=lambda mo: (mo[0] + mo[1] + 2 * mo[2], mo))
         return " + ".join(map(render_monomial, ordered)) or "0"
@@ -232,6 +230,12 @@ class RuleOutResult:
     max_allowed_degree: int
     witnesses: tuple[MultisetWitness, ...]
 
+    @property
+    def bound(self) -> int:
+        """The pspan bound when this result ends a `VirtualSwSearch.scan`: k - 1
+        if k is ruled out, else k (= dim: the scan ruled nothing out)."""
+        return self.k - 1 if self.ruled_out else self.k
+
 
 class VirtualSwSearch:
     """Brute-force scan of the splitting obstruction over all degree-1 multisets.
@@ -281,56 +285,25 @@ class VirtualSwSearch:
                         return RuleOutResult(k, False, allowed, tuple(witnesses))
         return RuleOutResult(k, True, allowed, tuple(witnesses))
 
+    def scan(self) -> Iterator[RuleOutResult]:
+        """Yield rule_out(k) for k = 1, 2, ..., dim, stopping at the smallest ruled-out k.
 
-@dataclass
-class ObstructionScan:
-    """The rule-out scan k = 1, 2, ..., k_max of Q(m, n), the one path to the bound.
-
-    Iterating yields rule_out(k) lazily (a scan holds one k's witnesses at a
-    time) and stops at the smallest ruled-out k, whose result it records in
-    `first`.  Every larger k is ruled out too: if w / prod(1 + x_i) over k + 1
-    classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
-    above dim - k, so dropping that class gives a passing k-multiset.
-    """
-
-    params: WallParams
-    k_max: int
-    first: RuleOutResult | None = field(default=None, init=False)
-    search: VirtualSwSearch = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.search = VirtualSwSearch(self.params)
-
-    @property
-    def w(self) -> GradedF2Poly:
-        """The total class w(Q(m, n)) the scan divides, built once per scan."""
-        return self.search.w
-
-    def __iter__(self) -> Iterator[RuleOutResult]:
-        for k in range(1, self.k_max + 1):
-            result = self.search.rule_out(k)
-            if result.ruled_out:
-                self.first = result
+        Every larger k is ruled out too: if w / prod(1 + x_i) over k + 1
+        classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
+        above dim - k, so dropping that class gives a passing k-multiset.  The
+        last result's `bound` is the bound on pspan.  Results come lazily, so a
+        caller that keeps only the last holds one k's witnesses at a time.
+        """
+        for k in range(1, self.ring.top_degree + 1):
+            result = self.rule_out(k)
             yield result
             if result.ruled_out:
                 return
-
-    def run(self) -> ObstructionScan:
-        """Scan up to the smallest ruled-out k."""
-        for _ in self:
-            pass
-        return self
-
-    @property
-    def upper_bound(self) -> int | None:
-        """first.k - 1 once scanned; dim if no k <= dim is ruled out; None
-        if a scan capped below dim rules nothing out (the bound is undetermined)."""
-        if self.first is not None:
-            return self.first.k - 1
-        return self.params.dim if self.k_max == self.params.dim else None
 
 
 def sw_upper_bound(p: WallParams) -> int:
     """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies: the
     smallest ruled-out k minus one, or dim Q(m, n) if nothing is ruled out."""
-    return ObstructionScan(p, p.dim).run().upper_bound  # type: ignore[return-value]
+    for last in VirtualSwSearch(p).scan():
+        pass
+    return last.bound

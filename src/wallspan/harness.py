@@ -21,7 +21,7 @@ from typing import Any
 
 from . import fields as fl
 from .clifford import CliffordFamily, FamilyReport, build_family, verify_family
-from .f2cohomology import ObstructionScan
+from .f2cohomology import GradedF2Poly, VirtualSwSearch
 from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 1
@@ -104,6 +104,12 @@ class CaseTimings:
         self.well_defined += other.well_defined
         self.independence += other.independence
         self.cohomology += other.cohomology
+
+
+def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
+    """The `totalSw` and `totalSwByDegree` entries of a report for the class w."""
+    by_degree = [{"degree": q, "value": w.component(q).render()} for q in w.degrees()]
+    return {"totalSw": w.render(), "totalSwByDegree": by_degree}
 
 
 def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
@@ -201,20 +207,17 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
 
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()
-    scan = ObstructionScan(params, params.dim).run()
-    w = scan.w
-    first = scan.first
-    upper = scan.upper_bound
+    search = VirtualSwSearch(params)
+    for last in search.scan():
+        pass
+    w, upper = search.w, last.bound
     timings.cohomology += time.perf_counter() - t0
 
     cohomology_record = {
-        "totalSw": w.render(),
-        "totalSwByDegree": [
-            {"degree": q, "value": w.component(q).render()} for q in w.degrees()
-        ],
+        **total_sw_json(w),
         "swUpperBound": upper,
-        "ruledOutAtK": first.k if first else None,
-        "ruleOutWitnesses": [x.to_json_dict() for x in first.witnesses] if first else [],
+        "ruledOutAtK": last.k if last.ruled_out else None,
+        "ruleOutWitnesses": [x.to_json_dict() for x in last.witnesses] if last.ruled_out else [],
         "checks": [
             _check(
                 "sw_bound_not_below_pspan",

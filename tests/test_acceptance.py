@@ -7,6 +7,7 @@ Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines;
 import numpy as np
 import pytest
 
+from wallspan import acceptance as acc
 from wallspan import fields
 from wallspan.acceptance import run_acceptance
 from wallspan.cli import main
@@ -56,3 +57,12 @@ def test_accept_fails_small_representative_dependence(monkeypatch, capsys):
     assert main(["accept"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] criterion 4" in out and "acceptance: FAIL" in out
+
+
+def test_sspan_table_checks_its_nu_column(monkeypatch):
+    assert acc.criterion_sspan_table().passed
+    wrong = tuple((8, 2, 6) if row[0] == 8 else row for row in acc.SSPAN_TABLE)  # nu(8) = 3
+    monkeypatch.setattr(acc, "SSPAN_TABLE", wrong)
+    result = acc.criterion_sspan_table()
+    assert not result.passed
+    assert result.details == "failures: ['n+1=8: nu 3 != 2']"

@@ -1,5 +1,6 @@
 """Campaign assembly, report determinism and the CLI surface."""
 
+import hashlib
 import json
 from dataclasses import replace
 from functools import partial
@@ -211,15 +212,7 @@ def test_cli_cohomology(capsys):
     assert witnesses and all(w["failureDegree"] is not None for w in witnesses)
     later = [(e["k"], e["ruledOut"], e["witnessCount"]) for e in obj["ruleOuts"] if e["k"] > 4]
     assert later == [(5, True, 56), (6, True, 84), (7, True, 120)]
-    # a scan capped below the first ruled-out k decides nothing
-    assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "2", "--format", "json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["swUpperBound"] is None and obj["boundNotBelowPspan"] is None
-    assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "2"]) == 0
-    assert "no k <= 2 ruled out; bound not determined" in capsys.readouterr().out
-    assert main(["cohomology", "--m", "2", "--n", "2", "--k-max", "4", "--format", "json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["swUpperBound"] == 3 and obj["boundNotBelowPspan"] is True
+    assert obj["kMax"] == obj["dim"] == 7 and obj["boundNotBelowPspan"] is True
 
 
 def test_cli_cohomology_smallest(capsys):
@@ -227,8 +220,23 @@ def test_cli_cohomology_smallest(capsys):
     assert "w(Q(1,0)) = 1 + x" in capsys.readouterr().out
 
 
-def test_cli_cohomology_k_max_validation(capsys):
-    assert main(["cohomology", "--m", "1", "--n", "0", "--k-max", "99"]) == 2
+# sha256 of `wallspan cohomology` output, text and --format json: the report
+# bytes are a contract, so a rework of the rule-out scan must leave them unchanged
+COHOMOLOGY_SHA256 = {
+    (2, 2, "text"): "cc26919917c5f24f1394fdf144d8b2fa694970ec7e9dd6a4c8f16e0e55a1b71e",
+    (2, 2, "json"): "bef37abbb0240b02f9d36a780b685ffb780d5ea0c80b4e0b1a79d87eceefd285",
+    (4, 5, "text"): "8727ac3d621979f77a2d6d69a1ede96e71a2ca977c224fd69b1256d2671b0125",
+    (4, 5, "json"): "c3f26e32d119e5bc0b9558b1eac7c5f024c41e53993d139b9e87408f069910be",
+    (10, 7, "text"): "3a2dd55966f3466542e407d1ccbe2c8b8e0f7083dd8aa80143c7762878943082",
+    (10, 7, "json"): "ef350619e468d73ba67eedc0f7421d768db5237e31efadca1b22f5c146ed5da7",
+}
+
+
+@pytest.mark.parametrize("m,n,fmt", sorted(COHOMOLOGY_SHA256))
+def test_cli_cohomology_golden(capsys, m, n, fmt):
+    assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == COHOMOLOGY_SHA256[m, n, fmt]
 
 
 def test_cli_clifford(capsys):
@@ -275,10 +283,11 @@ def test_cli_reports_broken_family(capsys, monkeypatch):
 
 
 def test_cli_rejects_removed_flags():
-    # the tolerances and accept's grid are pinned: no flag sets them
+    # the tolerances, accept's grid and the full rule-out scan are pinned: no flag sets them
     for argv in (
         ["fields", "--m", "1", "--n", "0", "--samples", "2", "--tol-rank", "1"],
         ["accept", "--samples", "1"],
+        ["cohomology", "--m", "2", "--n", "2", "--k-max", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
