@@ -35,7 +35,6 @@ from .f2cohomology import (
     WallRing,
     sw_upper_bound,
     total_sw_wall,
-    unit_inverse,
     wall_presentation,
 )
 from .fields import (

@@ -19,20 +19,29 @@ x^2 = 0 gives (1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
     w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3:
 
 each class is read off the powers w U^s and w U^(s+1), and multiplying by U
-is a running XOR along the c axis.
+is a running XOR along the c axis.  A class depends only on its memo key
+(s, k1 mod 2, k3 mod 2); k classes reach the keys with s <= k, k1 odd only if
+s < k and k3 odd only if s >= 1, and k is ruled out iff every reachable key's
+class has a degree above dim - k.  The witnesses are listed on demand.
+
+By Lucas' theorem c^a d^b is odd in (1 + c + d)^(n+1) iff a & b = 0 and a | b
+is a submask of n + 1, and c^i in (1 + c)^(m-1) iff i is a submask of m - 1,
+so w(Q) needs no ring product (see `total_sw_wall`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .invariants import WallParams
 
 Mono = tuple[int, int, int]
+Key = tuple[int, int, int]  # (s, k1 mod 2, k3 mod 2) of a multiset, see VirtualSwSearch
 
 GENERATORS = ("x", "c", "d")
 
@@ -124,18 +133,6 @@ class GradedF2Poly:
         out[1, m] ^= full[0, m + 1, : n + 1]
         return GradedF2Poly(ring, out)
 
-    def __pow__(self, e: int) -> GradedF2Poly:
-        if e < 0:
-            raise ValueError("negative powers are not defined; see unit_inverse")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedF2Poly):
             return NotImplemented
@@ -153,7 +150,7 @@ class GradedF2Poly:
         return GradedF2Poly(self.ring, self.coeffs * (self.ring.degree_grid == q))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.ring.degree_grid[self.coeffs != 0]).tolist())
+        return tuple(np.flatnonzero(np.bincount(self.ring.degree_grid[self.coeffs != 0])).tolist())
 
     def render(self) -> str:
         ordered = sorted(self.monos, key=lambda mo: (mo[0] + mo[1] + 2 * mo[2], mo))
@@ -172,27 +169,18 @@ def render_monomial(mono: Mono) -> str:
 
 
 def total_sw_wall(p: WallParams) -> GradedF2Poly:
-    """Total Stiefel-Whitney class w(Q(m, n)) = (1 + c + x) (1 + c)^(m-1) (1 + c + d)^(n+1)."""
-    ring = wall_presentation(p.m, p.n)
-    one = ring.one()
-    x, c, d = ring.gen("x"), ring.gen("c"), ring.gen("d")
-    return (one + c + x) * (one + c) ** (p.m - 1) * (one + c + d) ** (p.n + 1)
-
-
-def unit_inverse(p: GradedF2Poly) -> GradedF2Poly:
-    """Inverse of a unit (degree-0 component 1) by the geometric series in its nilpotent
-    tail: the reference that the closed-form virtual classes are tested against."""
-    one = p.ring.one()
-    if p.component(0) != one:
-        raise ValueError("not a unit: the degree-0 component must be 1")
-    tail = p + one
-    inverse = power = one
-    for _ in range(p.ring.top_degree):
-        power = power * tail
-        if power.is_zero():
-            break
-        inverse = inverse + power
-    return inverse
+    """Total Stiefel-Whitney class w(Q(m, n)) = (1 + c + x) (1 + c)^(m-1) (1 + c + d)^(n+1),
+    read off by Lucas' theorem (see the module docstring)."""
+    m, n = p.m, p.n
+    a, b = np.arange(m + 2)[:, None], np.arange(n + 1)
+    step = a - a.T  # (1 + c)^(m-1) as the lower Toeplitz matrix of its c^(i - a) coefficients
+    toeplitz = (step >= 0) & ((step & ~(m - 1)) == 0)
+    fibre = ((a & b) == 0) & (((a | b) & ~(n + 1)) == 0)  # c^a d^b in (1 + c + d)^(n+1)
+    prod = (toeplitz.astype(np.intp) @ fibre.astype(np.intp)).astype(np.uint8) & 1
+    out = np.stack([prod[: m + 1], prod[: m + 1]])  # (1 + x) prod, then + c prod:
+    out[0, 1:] ^= prod[:m]
+    out[1, m] ^= prod[m] ^ prod[m + 1]  # c^(m+1) -> x c^m; c^(m+2), x c^(m+1) vanish
+    return GradedF2Poly(wall_presentation(m, n), out)
 
 
 # -- the virtual Stiefel-Whitney obstruction ------------------------------------
@@ -223,12 +211,12 @@ class MultisetWitness:
 
 @dataclass(frozen=True)
 class RuleOutResult:
-    """Result of testing whether k independent line fields are impossible."""
+    """Whether k independent line fields are impossible, decided on the memo keys."""
 
     k: int
     ruled_out: bool
     max_allowed_degree: int
-    witnesses: tuple[MultisetWitness, ...]
+    class_degrees: Callable[[Key], tuple[int, ...]] = field(repr=False, compare=False)
 
     @property
     def bound(self) -> int:
@@ -236,9 +224,25 @@ class RuleOutResult:
         if k is ruled out, else k (= dim: the scan ruled nothing out)."""
         return self.k - 1 if self.ruled_out else self.k
 
+    @cached_property
+    def witnesses(self) -> tuple[MultisetWitness, ...]:
+        """Multisets in (k1, k2, k3) order: all if ruled out, else through the first passing one."""
+        k, allowed, failures, out = self.k, self.max_allowed_degree, {}, []
+        for k1 in range(k + 1):
+            for k2 in range(k - k1 + 1):
+                for k3 in range(k - k1 - k2 + 1):
+                    key = (k2 + k3, k1 & 1, k3 & 1)
+                    if key not in failures:
+                        degrees = self.class_degrees(key)  # failure: first degree > allowed
+                        failures[key] = next(iter(degrees[bisect_right(degrees, allowed) :]), None)
+                    out.append(MultisetWitness((k - k1 - k2 - k3, k1, k2, k3), failures[key]))
+                    if failures[key] is None:
+                        return tuple(out)
+        return tuple(out)
+
 
 class VirtualSwSearch:
-    """Brute-force scan of the splitting obstruction over all degree-1 multisets.
+    """Scan of the splitting obstruction over all degree-1 multisets, decided on memo keys.
 
     By the closed form, the virtual class for the multiplicities (k1, k2, k3) of
     x, c and x+c depends only on (k2 + k3, k1 mod 2, k3 mod 2), its memo key.
@@ -248,7 +252,7 @@ class VirtualSwSearch:
         self.ring = wall_presentation(p.m, p.n)
         self.w = total_sw_wall(p)
         self._powers = [self.w.coeffs]  # w U^s for s = 0, 1, ...
-        self._degrees: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._degrees: dict[Key, tuple[int, ...]] = {}
 
     def _power(self, s: int) -> np.ndarray:
         while len(self._powers) <= s:  # times U: a running XOR along the c axis,
@@ -265,25 +269,22 @@ class VirtualSwSearch:
         out[1] ^= (k1 & 1) * out[0] ^ (k3 & 1) * self._power(k2 + k3 + 1)[0]
         return GradedF2Poly(self.ring, out)
 
+    def class_degrees(self, key: Key) -> tuple[int, ...]:
+        if key not in self._degrees:
+            s, p1, p3 = key
+            self._degrees[key] = self.virtual_class((p1, s - p3, p3)).degrees()
+        return self._degrees[key]
+
     def rule_out(self, k: int) -> RuleOutResult:
         dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
         allowed = dim - k
-        failures: dict[tuple[int, int, int], int | None] = {}  # this k's failure degree per key
-        witnesses: list[MultisetWitness] = []
-        for k1 in range(k + 1):
-            for k2 in range(k - k1 + 1):
-                for k3 in range(k - k1 - k2 + 1):
-                    key = (k2 + k3, k1 & 1, k3 & 1)
-                    if key not in failures:
-                        if key not in self._degrees:
-                            self._degrees[key] = self.virtual_class((k1, k2, k3)).degrees()
-                        failures[key] = next((q for q in self._degrees[key] if q > allowed), None)
-                    witnesses.append(MultisetWitness((k - k1 - k2 - k3, k1, k2, k3), failures[key]))
-                    if failures[key] is None:
-                        return RuleOutResult(k, False, allowed, tuple(witnesses))
-        return RuleOutResult(k, True, allowed, tuple(witnesses))
+        keys = ((s, p1, p3) for s in range(k + 1)  # reachable at k, s ascending
+                for p1 in range(1 + (s < k)) for p3 in range(1 + (s > 0)))
+        # every class is a unit, so its degrees are never empty
+        ruled_out = all(self.class_degrees(key)[-1] > allowed for key in keys)
+        return RuleOutResult(k, ruled_out, allowed, self.class_degrees)
 
     def scan(self) -> Iterator[RuleOutResult]:
         """Yield rule_out(k) for k = 1, 2, ..., dim, stopping at the smallest ruled-out k.
@@ -291,8 +292,7 @@ class VirtualSwSearch:
         Every larger k is ruled out too: if w / prod(1 + x_i) over k + 1
         classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
         above dim - k, so dropping that class gives a passing k-multiset.  The
-        last result's `bound` is the bound on pspan.  Results come lazily, so a
-        caller that keeps only the last holds one k's witnesses at a time.
+        last result's `bound` is the bound on pspan.
         """
         for k in range(1, self.ring.top_degree + 1):
             result = self.rule_out(k)

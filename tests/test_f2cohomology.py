@@ -15,10 +15,11 @@ from wallspan.f2cohomology import (
     render_monomial,
     sw_upper_bound,
     total_sw_wall,
-    unit_inverse,
     wall_presentation,
 )
 from wallspan.invariants import WallParams
+
+from f2_reference import power, rule_out_reference, unit_inverse
 
 
 # -- independent expansion oracle for the Wall ring ---------------------------
@@ -119,8 +120,8 @@ def test_mul_examples():
     pres2 = wall_presentation(2, 3)
     x, d = pres2.gen("x"), pres2.gen("d")
     assert (x * x).is_zero()
-    assert (d**3 * d).is_zero()
-    assert not (d**3).is_zero()
+    assert (power(d, 3) * d).is_zero()
+    assert not power(d, 3).is_zero()
 
 
 def test_mul_rejects_mixed_presentations():
@@ -130,11 +131,6 @@ def test_mul_rejects_mixed_presentations():
         a * b
     with pytest.raises(ValueError, match="mixed"):
         a + b
-
-
-def test_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        wall_presentation(1, 1).gen("c") ** -1
 
 
 _PRES = wall_presentation(2, 2)
@@ -185,7 +181,7 @@ def test_render():
     pres = wall_presentation(2, 2)
     assert pres.zero().render() == "0"
     assert pres.one().render() == "1"
-    p = pres.one() + pres.gen("d") + pres.gen("x") * pres.gen("c") ** 2
+    p = pres.one() + pres.gen("d") + pres.gen("x") * power(pres.gen("c"), 2)
     assert p.render() == "1 + d + x*c^2"
 
 
@@ -234,6 +230,16 @@ def test_fiber_restriction_of_total_class_is_cpn_total_class():
         assert fibre_part(total_sw_wall(WallParams(m, n))) == expected
 
 
+def test_total_sw_wall_closed_form_matches_product_chain():
+    # n in 0..69 takes in n + 1 = 2^j (n = 0, 1, 3, ..., 63) and 2^j - 1 (n = 2, 6, ..., 62)
+    for m in range(1, 17):
+        for n in range(70):
+            ring = wall_presentation(m, n)
+            one, x, c, d = ring.one(), ring.gen("x"), ring.gen("c"), ring.gen("d")
+            chain = (one + c + x) * power(one + c, m - 1) * power(one + c + d, n + 1)
+            assert total_sw_wall(WallParams(m, n)) == chain, (m, n)
+
+
 # -- the obstruction search ------------------------------------------------------
 
 
@@ -258,7 +264,7 @@ def test_rule_out_2_2():
     pres = wall_presentation(2, 2)
     one, x, c = pres.one(), pres.gen("x"), pres.gen("c")
     k0, k1, k2, k3 = admissible.counts
-    product = (one + x) ** k1 * (one + c) ** k2 * (one + x + c) ** k3
+    product = power(one + x, k1) * power(one + c, k2) * power(one + x + c, k3)
     u = total_sw_wall(p) * unit_inverse(product)
     assert max(u.degrees()) <= p.dim - 3
 
@@ -279,7 +285,7 @@ def test_rule_out_n_even_at_m_plus_2(m, n):
     w_total = total_sw_wall(p)
     for witness in result.witnesses:
         _, k1, k2, k3 = witness.counts
-        product = (one + x) ** k1 * (one + c) ** k2 * (one + x + c) ** k3
+        product = power(one + x, k1) * power(one + c, k2) * power(one + x + c, k3)
         u = w_total * unit_inverse(product)
         assert not u.component(witness.failure_degree).is_zero()
 
@@ -305,6 +311,53 @@ def test_every_k_past_the_first_ruled_out_is_ruled_out(m, n):
         assert len(result.witnesses) == (k + 1) * (k + 2) * (k + 3) // 6
 
 
+def assert_rule_out_matches_reference(search, k):
+    result = search.rule_out(k)
+    ruled_out, allowed, witnesses = rule_out_reference(search, k)
+    assert (result.ruled_out, result.max_allowed_degree) == (ruled_out, allowed), k
+    assert result.witnesses == witnesses, k
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rule_out_matches_triple_loop_at_every_k(m):
+    for n in range(8):
+        search = VirtualSwSearch(WallParams(m, n))
+        for k in range(1, search.ring.top_degree + 1):
+            assert_rule_out_matches_reference(search, k)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(8, 20)] + [(10, 32)])
+def test_rule_out_matches_triple_loop_through_the_first_ruled_out_k(m, n):
+    # every admissible k, the first ruled-out k and two more: each later k lists
+    # all (k+1)(k+2)(k+3)/6 multisets, too many to compare here beyond n < 8
+    search = VirtualSwSearch(WallParams(m, n))
+    last = min(sw_upper_bound(WallParams(m, n)) + 3, search.ring.top_degree)
+    for k in range(1, last + 1):
+        assert_rule_out_matches_reference(search, k)
+
+
+def test_rule_out_consults_exactly_the_reachable_keys():
+    # fake classes that all reach degree dim except one key's: k must be
+    # admissible iff some multiset of k classes has that key
+    search = VirtualSwSearch(WallParams(4, 5))
+    dim = search.ring.top_degree
+    for k in range(1, 7):
+        triples = product(range(k + 1), repeat=3)
+        reachable = {(k2 + k3, k1 & 1, k3 & 1) for k1, k2, k3 in triples if k1 + k2 + k3 <= k}
+        for passing in product(range(k + 2), (0, 1), (0, 1)):
+            search.class_degrees = lambda key, passing=passing: (0,) if key == passing else (0, dim)
+            assert search.rule_out(k).ruled_out == (passing not in reachable), (k, passing)
+
+
+def test_scan_builds_no_witnesses():
+    # the witnesses are a cached property, listed on first access only
+    results = list(VirtualSwSearch(WallParams(4, 6)).scan())
+    assert [r.k for r in results] == [1, 2, 3, 4, 5, 6] and results[-1].ruled_out
+    assert all("witnesses" not in vars(r) for r in results)
+    assert len(results[-1].witnesses) == 7 * 8 * 9 // 6
+    assert "witnesses" in vars(results[-1])
+
+
 def test_sw_upper_bound_values():
     assert sw_upper_bound(WallParams(2, 2)) == 3
     assert sw_upper_bound(WallParams(4, 2)) == 5  # m + 1
@@ -324,7 +377,7 @@ def test_virtual_class_closed_form_matches_products(m, n):
     for k1, k2, k3 in product(range(13), repeat=3):
         if k1 + k2 + k3 > 12:
             continue
-        factors = (one + x) ** k1 * (one + c) ** k2 * (one + x + c) ** k3
+        factors = power(one + x, k1) * power(one + c, k2) * power(one + x + c, k3)
         assert search.virtual_class((k1, k2, k3)) == search.w * unit_inverse(factors), (k1, k2, k3)
 
 
