@@ -37,11 +37,17 @@ one point and one field at a time; they are the reference implementation.
 The batched engine (`sample_batch`, `PointBatch`, `evaluate_batch`,
 `quasi_invariance_signs`, `well_defined_batch`, `tangency_residuals_batch`,
 `svd_ranks`) evaluates all delta fields at all S samples of a case as arrays,
-w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta), and runs each check
-as whole-array work: the fields are evaluated afresh at sigma(P), tau(P) and
-omega*z for each root omega, and the ranks come from one stacked SVD.  The
-campaign harness uses the engine; the tests hold it to the reference within
-1e-12.
+w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta), written in place into
+one preallocated array each, and runs each check as whole-array work: the
+fields are evaluated afresh at sigma(P), tau(P) and omega*z for each root
+omega, and the ranks come from one stacked SVD.  A check compares two
+evaluations with `FieldBatch.within`, |difference| <= tol slot by slot, which
+is `tangent_distance(a, b) <= tol` at every (sample, field) and fails on NaN.
+The images and the 8 roots are evaluated one call each, not stacked into one
+call: stacking saved little in a cold run and raised a case's traced peak
+memory from about 1 MB to 2.6 MB or more.  A sample whose tangent matrix is not finite
+has rank 0 and never enters the SVD.  The campaign harness uses the engine;
+the tests hold it to the reference within 1e-12.
 
 Each case (m, n) draws its samples from one RNG stream, `stream(seed, m, n)`.
 `sample_batch` takes the S points of a case in one standard_normal draw of
@@ -50,8 +56,11 @@ pair (a, b) with lambda = (a + ib)/|a + ib|, uniform on S^1.  That is byte
 for byte what S successive `sample_point` calls on the stream give.  The draw
 is prefix-stable: the first k rows of an S-point draw are the k-point draw,
 so sample i is the last point of `sample_batch(n, m, seed, i + 1)`.  The
-norms stay per row, as the dot products that `np.linalg.norm` takes, because
-a batched sum of squares rounds differently in the last bit.
+norms are the dot products that `np.linalg.norm` takes, one per row, computed
+as one stacked matmul (S, 1, k) @ (S, k, 1) on the same strided views of
+Re z, Im z and v: that gives the bytes of the per-row dots, while a batched sum
+of squares, or the same matmul on contiguous copies, rounds differently in the
+last bit.
 """
 
 from __future__ import annotations
@@ -217,12 +226,8 @@ def apply_differential(kind: InvolutionKind, p: TotalSpacePoint, t: AmbientTange
 
 
 def tangent_distance(a: AmbientTangent, b: AmbientTangent) -> float:
-    """Largest componentwise deviation across the three slots."""
-    return max(
-        float(np.max(np.abs(a.w - b.w))),
-        float(np.max(np.abs(a.u - b.u))),
-        abs(a.mu - b.mu),
-    )
+    """Largest componentwise deviation across the three slots; NaN if any is NaN."""
+    return float(np.max([np.max(np.abs(a.w - b.w)), np.max(np.abs(a.u - b.u)), abs(a.mu - b.mu)]))
 
 
 def tangency_residuals(p: TotalSpacePoint, t: AmbientTangent) -> tuple[float, float, float]:
@@ -374,10 +379,12 @@ def sample_batch(n: int, m: int, seed: int, count: int) -> PointBatch:
     """
     draws = stream(seed, m, n).standard_normal((count, 2 * (n + 1) + m + 3))
     z = draws[:, : n + 1] + 1j * draws[:, n + 1 : 2 * n + 2]
-    # per-row dots as np.linalg.norm takes them: a batched sum rounds differently
-    z /= np.sqrt([row.real.dot(row.real) + row.imag.dot(row.imag) for row in z])[:, None]
+    # Row-by-row dot products, stacked, on the same strided views that
+    # np.linalg.norm's dots read: a copy or a batched sum rounds differently.
+    zr, zi = z.real, z.imag
+    z /= np.sqrt(zr[:, None, :] @ zr[:, :, None] + zi[:, None, :] @ zi[:, :, None])[:, 0]
     v = draws[:, 2 * n + 2 : -2]
-    v = v / np.sqrt([row.dot(row) for row in v])[:, None]
+    v = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
     a, b = draws[:, -2], draws[:, -1]
     r = np.hypot(a, b)
     lam = (a / r).astype(np.complex128)
@@ -395,15 +402,9 @@ class FieldBatch:
     u: np.ndarray
     mu: np.ndarray
 
-    def __neg__(self) -> FieldBatch:
-        return FieldBatch(-self.w, -self.u, -self.mu)
-
-    def distance(self, other: FieldBatch) -> np.ndarray:
-        """tangent_distance for every (sample, field), shape (S, delta)."""
-        return np.maximum(
-            np.maximum(np.abs(self.w - other.w).max(axis=-1), np.abs(self.u - other.u).max(axis=-1)),
-            np.abs(self.mu - other.mu),
-        )
+    def within(self, other: FieldBatch, tol: float) -> np.ndarray:
+        """tangent_distance(self, other) <= tol for every (sample, field), shape (S, delta)."""
+        return _all_within(self.w - other.w, self.u - other.u, self.mu - other.mu, tol)
 
     def matrix(self) -> np.ndarray:
         """tangent_matrix for every sample, shape (S, delta, 2(n+1)+m+3)."""
@@ -413,30 +414,37 @@ class FieldBatch:
         )
 
 
+def _all_within(dw: np.ndarray, du: np.ndarray, dmu: np.ndarray, tol: float) -> np.ndarray:
+    """Every |entry| of the slot differences <= tol, per (sample, field); NaN fails."""
+    return (np.abs(dw) <= tol).all(axis=-1) & (np.abs(du) <= tol).all(axis=-1) & (np.abs(dmu) <= tol)
+
+
 def evaluate_batch(points: PointBatch, family: CliffordFamily) -> FieldBatch:
     """evaluate_field for every field j = 1..delta at every point, low fields first."""
     z, v, lam = points.z, points.v, points.lam
-    if family.n != z.shape[1] - 1:
-        raise ValueError(f"family is for n = {family.n}, points have n = {z.shape[1] - 1}")
+    count, size = z.shape
+    if family.n != size - 1:
+        raise ValueError(f"family is for n = {family.n}, points have n = {size - 1}")
+    low = family.count
+    delta = low + v.shape[1] - 1
+    w = np.zeros((count, delta, size), dtype=np.complex128)  # high fields: w = 0
+    u = np.empty((count, delta, v.shape[1]))
+    mu = np.empty((count, delta), dtype=np.complex128)
+
     perms = np.stack([a.perm for a in family.matrices])
     units = UNITS[np.stack([a.phase for a in family.matrices])]
-    az = units * z[:, perms]  # A_j z at every sample: (S, low, n+1)
+    az = np.multiply(units, z[:, perms], out=w[:, :low])  # A_j z at every sample
     b = np.einsum("sja,sa->sj", az.conj(), z)  # beta_j(z)
     eye = np.eye(v.shape[1])
     t = v[:, :1]  # <v, e_1>
-    low_w = az + b[..., None] * z[:, None, :]
-    low_u = (1j * b).real[..., None] * (eye[0] - t * v)[:, None, :]
-    low_mu = b * t * lam[:, None]
+    az += b[..., None] * z[:, None, :]
+    np.multiply((1j * b).real[..., None], (eye[0] - t * v)[:, None, :], out=u[:, :low])
+    np.multiply(b * t, lam[:, None], out=mu[:, :low])
 
     coeff = v[:, 1:]  # <v, e_j>, j = 2..m+1
-    high_u = eye[1:] - coeff[..., None] * v[:, None, :]
-    high_mu = -1j * coeff * lam[:, None]
-    high_w = np.zeros((z.shape[0], coeff.shape[1], z.shape[1]), dtype=np.complex128)
-    return FieldBatch(
-        np.concatenate([low_w, high_w], axis=1),
-        np.concatenate([low_u, high_u], axis=1),
-        np.concatenate([low_mu, high_mu], axis=1),
-    )
+    np.subtract(eye[1:], coeff[..., None] * v[:, None, :], out=u[:, low:])
+    np.multiply(-1j * coeff, lam[:, None], out=mu[:, low:])
+    return FieldBatch(w, u, mu)
 
 
 def tangency_residuals_batch(points: PointBatch, fields: FieldBatch) -> tuple[np.ndarray, ...]:
@@ -476,8 +484,9 @@ def quasi_invariance_signs(
     """
     pushed = differential_batch(kind, fields)
     there = evaluate_batch(involution_batch(kind, points), family)
-    plus = pushed.distance(there) <= INVARIANCE_TOL
-    minus = pushed.distance(-there) <= INVARIANCE_TOL
+    plus = pushed.within(there, INVARIANCE_TOL)
+    # pushed - (-there) is pushed + there exactly, so no negated copy is needed
+    minus = _all_within(pushed.w + there.w, pushed.u + there.u, pushed.mu + there.mu, INVARIANCE_TOL)
     return np.where(plus, 1, np.where(minus, -1, 0))
 
 
@@ -494,13 +503,21 @@ def well_defined_batch(
         raise ValueError("omega must lie on the unit circle")
     moved = evaluate_batch(PointBatch(omega * points.z, points.v, points.lam), family)
     expected = FieldBatch(omega * fields.w, fields.u, fields.mu)
-    return moved.distance(expected) <= TANGENCY_TOL
+    return moved.within(expected, TANGENCY_TOL)
 
 
 def svd_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """svd_rank for a stack of matrices: (ranks, smallest/largest singular values)."""
-    sv = np.linalg.svd(mats, compute_uv=False)
+    """svd_rank for a stack of matrices: (ranks, smallest/largest singular values).
+
+    A matrix with a non-finite entry never enters the SVD: its rank is 0 and
+    its ratio NaN.
+    """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    sv = np.linalg.svd(mats[finite], compute_uv=False)
     top = sv[:, 0]
-    ranks = np.sum(sv > RANK_REL_TOL * top[:, None], axis=-1)  # 0 where top == 0
+    ranks = np.zeros(len(mats), dtype=np.intp)
+    ranks[finite] = np.sum(sv > RANK_REL_TOL * top[:, None], axis=-1)  # 0 where top == 0
+    rel = np.full(len(mats), np.nan)
     with np.errstate(invalid="ignore"):
-        return ranks, np.where(top == 0.0, 0.0, sv[:, -1] / top)
+        rel[finite] = np.where(top == 0.0, 0.0, sv[:, -1] / top)
+    return ranks, rel

@@ -106,6 +106,11 @@ class CaseTimings:
         self.cohomology += other.cohomology
 
 
+def _finite_or_none(x: float) -> float | None:
+    """A report statistic: None (JSON null) when a sample made it non-finite."""
+    return x if math.isfinite(x) else None
+
+
 def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
     """The `totalSw` and `totalSwByDegree` entries of a report for the class w."""
     by_degree = [{"degree": q, "value": w.component(q).render()} for q in w.degrees()]
@@ -203,7 +208,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
                 }
             )
 
-    tangency_ok = max(max_residuals) <= fl.TANGENCY_TOL
+    tangency_ok = all(r <= fl.TANGENCY_TOL for r in max_residuals)  # NaN fails
 
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()
@@ -251,14 +256,14 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
         "independence": {
             "samples": config.samples_per_case,
             "rankOk": ranks_ok,
-            "minOfMinRelativeSv": min_rel_sv,
-            "maxOfMinRelativeSv": max_rel_sv,
+            "minOfMinRelativeSv": _finite_or_none(min_rel_sv),
+            "maxOfMinRelativeSv": _finite_or_none(max_rel_sv),
             "claim": "the delta stacked tangent vectors have rank delta at every sample",
         },
         "tangency": {
-            "maxResidualZW": max_residuals[0],
-            "maxResidualVU": max_residuals[1],
-            "maxResidualLambdaMu": max_residuals[2],
+            "maxResidualZW": _finite_or_none(max_residuals[0]),
+            "maxResidualVU": _finite_or_none(max_residuals[1]),
+            "maxResidualLambdaMu": _finite_or_none(max_residuals[2]),
             "passed": tangency_ok,
         },
         "wellDefined": {"rootsOfUnity": len(EIGHTH_ROOTS), "passed": well_defined_ok},
@@ -330,11 +335,12 @@ def render_campaign_text(report: dict[str, Any]) -> str:
     )
     for case in report["cases"]:
         status = "PASS" if case["passed"] else "FAIL"
+        min_rel_sv = case["independence"]["minOfMinRelativeSv"]
         lines.append(
             f"[{status}] Q({case['m']},{case['n']})  nu={case['nu']} delta={case['delta']} "
             f"dim={case['dim']} pspan={case['formulas']['pspan']} "
             f"swBound={case['cohomology']['swUpperBound']} "
-            f"minRelSv={case['independence']['minOfMinRelativeSv']:.3e}"
+            f"minRelSv={'null' if min_rel_sv is None else f'{min_rel_sv:.3e}'}"
         )
         if not case["passed"]:
             checks = case["formulas"]["checks"] + case["cohomology"]["checks"]

@@ -4,10 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wallspan.clifford import build_family
 from wallspan.fields import (
+    TANGENCY_TOL,
     AmbientTangent,
+    FieldBatch,
     InvolutionKind,
     PointBatch,
     TotalSpacePoint,
@@ -27,6 +32,7 @@ from wallspan.fields import (
     svd_ranks,
     tangency_residuals,
     tangency_residuals_batch,
+    tangent_distance,
     tangent_matrix,
     well_defined_batch,
     xi_high,
@@ -97,7 +103,8 @@ def _assert_same_bytes(batch, points):
 
 @pytest.mark.parametrize("seed", [42, 7919])
 def test_sample_batch_matches_reference_bytes(seed):
-    for m, n in DEFAULT_GRID:
+    # long rows too: BLAS dot kernels unroll differently as the length grows
+    for m, n in DEFAULT_GRID + [(16, 63), (16, 255)]:
         rng = stream(seed, m, n)
         _assert_same_bytes(sample_batch(n, m, seed, 100), [sample_point(n, m, rng) for _ in range(100)])
 
@@ -462,3 +469,57 @@ def test_well_defined_batch_rejects_non_unit_omega():
 def test_svd_ranks_zero_stack():
     ranks, rel = svd_ranks(np.zeros((2, 3, 5)))
     assert ranks.tolist() == [0, 0] and rel.tolist() == [0.0, 0.0]
+
+
+def test_svd_ranks_non_finite_matrix_is_rank_zero():
+    mats = np.stack([np.eye(3, 5)] * 3)
+    mats[1, 2, 4] = np.nan
+    mats[2, 0, 0] = np.inf
+    ranks, rel = svd_ranks(mats)
+    assert ranks.tolist() == [3, 0, 0]
+    assert rel[0] == 1.0 and np.isnan(rel[1:]).all()
+
+
+# -- FieldBatch.within against tangent_distance ----------------------------------
+
+_EDGES = [
+    TANGENCY_TOL,
+    -TANGENCY_TOL,
+    np.nextafter(TANGENCY_TOL, np.inf),
+    -np.nextafter(TANGENCY_TOL, np.inf),
+    np.nan,
+    np.inf,
+    -np.inf,
+]
+# mostly within tol, so that whole (sample, field) rows pass as well as fail;
+# b's entries keep a - b exact at the edges
+_A_ENTRIES = st.one_of(st.just(0.0), st.floats(-TANGENCY_TOL, TANGENCY_TOL), st.sampled_from(_EDGES))
+_B_ENTRIES = st.one_of(st.just(0.0), st.sampled_from([TANGENCY_TOL, np.nan, np.inf]))
+
+
+def _draw_fields(data, entries, count, delta, size, sphere):
+    def real(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=entries))
+
+    def cplx(shape):
+        out = real(shape).astype(np.complex128)  # not re + 1j*im, which turns inf into nan
+        out.imag = real(shape)
+        return out
+
+    return FieldBatch(cplx((count, delta, size)), real((count, delta, sphere)), cplx((count, delta)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_within_matches_tangent_distance(data, count, delta, size, sphere):
+    # entries at tol, one ulp above it, NaN and +-inf; delta = 1 is in range
+    a = _draw_fields(data, _A_ENTRIES, count, delta, size, sphere)
+    b = _draw_fields(data, _B_ENTRIES, count, delta, size, sphere)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = a.within(b, TANGENCY_TOL)
+        assert got.shape == (count, delta) and got.dtype == bool
+        for s in range(count):
+            for j in range(delta):
+                ta = AmbientTangent(a.w[s, j], a.u[s, j], a.mu[s, j])
+                tb = AmbientTangent(b.w[s, j], b.u[s, j], b.mu[s, j])
+                assert got[s, j] == (tangent_distance(ta, tb) <= TANGENCY_TOL), (s, j)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -280,6 +281,43 @@ def test_cli_reports_broken_family(capsys, monkeypatch):
     assert "[FAIL]" in out and "rank deficiency observed" in out
     assert main(["accept"]) == 1
     assert "acceptance: FAIL" in capsys.readouterr().out
+
+
+def test_cli_non_finite_field_fails_its_case(capsys, monkeypatch):
+    # a NaN field value is a failed check (exit 1), not an SVD error (exit 2)
+    evaluate = fields.evaluate_batch
+
+    def with_nan(points, family):
+        f = evaluate(points, family)
+        f.mu[3, -1] = np.nan  # not the first residual slot
+        return f
+
+    monkeypatch.setattr(fields, "evaluate_batch", with_nan)
+    argv = ["fields", "--m", "1", "--n", "1", "--samples", "5"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] Q(1,1)" in out and "rank deficiency observed" in out
+    assert main(argv + ["--format", "json"]) == 1
+    case = json.loads(capsys.readouterr().out)["cases"][0]
+    assert case["independence"]["minOfMinRelativeSv"] is None
+    assert case["tangency"]["maxResidualLambdaMu"] is None
+    assert not case["tangency"]["passed"] and not case["independence"]["rankOk"]
+    assert main(["accept"]) == 1
+    assert "acceptance: FAIL" in capsys.readouterr().out
+
+
+def test_run_case_memory_peak():
+    # one stacked evaluation per image and per root keeps the traced peak of a
+    # case near 1 MB; stacking the 8 roots into one evaluation raised it to 2.6 MB
+    config = CampaignConfig(m_values=(4,), n_values=(7,), samples_per_case=100)
+    run_case(4, 7, config)  # builds the cached Clifford family and its report
+    tracemalloc.start()
+    try:
+        run_case(4, 7, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_cli_rejects_removed_flags():
