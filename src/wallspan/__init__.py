@@ -20,11 +20,7 @@ from .clifford import (
     FamilyReport,
     GaussMatrix,
     build_family,
-    generator_2x2,
-    kronecker,
     predicted_sign,
-    spin_generator,
-    tensor_power,
     verify_family,
 )
 from .f2cohomology import (

@@ -2,9 +2,10 @@
 
 Subcommands: `invariants`, `cohomology`, `clifford`, `fields`, `accept`.
 Exit codes: 0 = all checks passed, 1 = a verification check failed,
-2 = usage error (bad flags, parameter ranges or WALLSPAN_SEED).  The seed
-defaults to the WALLSPAN_SEED environment variable when set, else 42;
-identical configurations produce byte-identical JSON reports.  `accept`
+2 = usage error (bad flags, parameter ranges or WALLSPAN_SEED, raised as
+`UsageError`).  Any other error is not a usage error: it propagates with its
+traceback (exit 1).  The seed defaults to the WALLSPAN_SEED environment
+variable when set, else 42; identical configurations produce byte-identical JSON reports.  `accept`
 always runs the default grid, so its only inputs are the seed and the format.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .acceptance import run_acceptance
 from .clifford import build_family, verify_family
@@ -31,6 +32,18 @@ from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+
+class UsageError(ValueError):
+    """A bad flag value, parameter range or WALLSPAN_SEED: exit code 2."""
+
+
+def validated(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """make(*args, **kwargs), its ValueError (an input out of range) as a UsageError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_int_spec(spec: str) -> tuple[int, ...]:
@@ -56,7 +69,7 @@ def default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"WALLSPAN_SEED must be an integer, got {env!r}") from None
+        raise UsageError(f"WALLSPAN_SEED must be an integer, got {env!r}") from None
 
 
 def emit(obj: dict[str, Any], fmt: str, text: str) -> None:
@@ -67,7 +80,7 @@ def emit(obj: dict[str, Any], fmt: str, text: str) -> None:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    p = WallParams(args.m, args.n)
+    p = validated(WallParams, args.m, args.n)
     pspan = pspan_wall(p)
     fib = upper_bound_fibration(p)
     sspan = sspan_cpn(p.n)
@@ -106,7 +119,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
-    p = WallParams(args.m, args.n)
+    p = validated(WallParams, args.m, args.n)
     pspan = pspan_wall(p)
     search = VirtualSwSearch(p)
     rule_outs = []
@@ -164,7 +177,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 def cmd_clifford(args: argparse.Namespace) -> int:
     if args.n < 0:
-        raise ValueError(f"need n >= 0, got {args.n}")
+        raise UsageError(f"need n >= 0, got {args.n}")
     family = build_family(args.n)
     report = verify_family(family)
     obj: dict[str, Any] = {
@@ -201,9 +214,10 @@ def cmd_clifford(args: argparse.Namespace) -> int:
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
-    config = CampaignConfig(
-        m_values=parse_int_spec(args.m),
-        n_values=parse_int_spec(args.n),
+    config = validated(
+        CampaignConfig,
+        m_values=validated(parse_int_spec, args.m),
+        n_values=validated(parse_int_spec, args.n),
         samples_per_case=args.samples,
         seed=args.seed,
     )
@@ -213,7 +227,7 @@ def cmd_fields(args: argparse.Namespace) -> int:
 
 
 def cmd_accept(args: argparse.Namespace) -> int:
-    result = run_acceptance(CampaignConfig(seed=args.seed))
+    result = run_acceptance(validated(CampaignConfig, seed=args.seed))
     obj = {
         "schemaVersion": SCHEMA_VERSION,
         "tool": "wallspan",
@@ -282,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)  # reads WALLSPAN_SEED
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -11,20 +11,32 @@ End(C^(n+1)) produces 2*nu + 1 automorphisms A_1, ..., A_(2nu+1) that
   (a quasi-real structure).
 
 The four generators are Pauli matrices up to a phase (E = I, g1 = iZ,
-g2 = iX, T = Y), so every A_j is a tensor word in them: a monomial matrix,
-one entry in {+-1, +-i} per row and column.  It is stored as a signed
-permutation `(perm, phase)`, row r holding i^phase[r] in column perm[r], so
-a product is a gather plus a phase sum mod 4 and every identity is an exact
-O(n) comparison of integer arrays.  The direct sum and tensor factors are
-identified with C^(n+1) lexicographically (blocks outer, tensor factors by
-Kronecker ordering); under that identification componentwise conjugation on
-the factors is componentwise conjugation on C^(n+1), so no basis change is
-needed and the identities can be checked entrywise.
+g2 = iX, T = Y), so every A_j is i times a Pauli word: for j <= 2*nu and
+t = floor((j-1)/2) the word is I^(nu-1-t) Z Y^t (j odd) or I^(nu-1-t) X Y^t
+(j even), and A_(2nu+1) = i Y^nu (t = nu).  Such a word is a monomial
+matrix, one entry in {+-1, +-i} per row and column, stored as a signed
+permutation `(perm, phase)`: row r holds i^phase[r] in column perm[r], so a
+product is a gather plus a phase sum mod 4 and every identity is an exact
+comparison of integer arrays.  Row r of C^(n+1) is block * 2^nu + spinor
+index (blocks outer, tensor factor 0 the most significant spinor bit).  An
+X or Y letter flips its bit of r, a Z or Y letter signs it, and each Y adds
+a factor -i = i^3, so with xmask_j and zmask_j the bits of those letters
+
+    perm_j[r]  = r XOR xmask_j,
+    phase_j[r] = 1 + 3t + 2 * parity(r AND zmask_j)  mod 4,
+
+for every row at once.  The masks lie below 2^nu, so the formula repeats A_j
+on each of the b blocks.  Under this identification componentwise
+conjugation on the factors is componentwise conjugation on C^(n+1), so the
+identities can be checked entrywise.  `verify_family` checks them on the
+stacked (2*nu + 1, n + 1) arrays with one gather per generator, O(nu * n)
+memory, never all pairs at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,60 +108,6 @@ class GaussMatrix:
         return f"GaussMatrix({self.size}x{self.size})"
 
 
-def kronecker(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    """Kronecker product, left factor major (lexicographic basis order)."""
-    return GaussMatrix(
-        (a.perm[:, None] * b.size + b.perm).ravel(),
-        (a.phase[:, None] + b.phase).ravel(),
-    )
-
-
-def tensor_power(a: GaussMatrix, k: int) -> GaussMatrix:
-    """k-fold Kronecker power; the empty product is the 1x1 identity."""
-    result = GaussMatrix.identity(1)
-    for _ in range(k):
-        result = kronecker(result, a)
-    return result
-
-
-# (perm, phase) of E = I, g1 = diag(i, -i) = iZ, g2 = antidiag(i, i) = iX, T = Y
-_GENERATORS_2X2 = {
-    "E": ((0, 1), (0, 0)),
-    "g1": ((0, 1), (1, 3)),
-    "g2": ((1, 0), (1, 1)),
-    "T": ((1, 0), (3, 1)),
-}
-
-
-def generator_2x2(name: str) -> GaussMatrix:
-    """The four generating 2x2 matrices: E = id, g1 = diag(i, -i),
-    g2 = antidiag(i, i), T = [[0, -i], [i, 0]]."""
-    if name not in _GENERATORS_2X2:
-        raise ValueError(f"unknown generator {name!r}; expected one of {sorted(_GENERATORS_2X2)}")
-    return GaussMatrix(*_GENERATORS_2X2[name])
-
-
-def spin_generator(j: int, nu: int) -> GaussMatrix:
-    """Image of the j-th Clifford generator on the spinor space, size 2^nu.
-
-    For 1 <= j <= 2*nu the image is
-        E^(nu - 1 - t) (x) g_alpha (x) T^t,   t = floor((j-1)/2),
-    with g_alpha = g1 for j odd and g2 for j even.  For j = 2*nu + 1 it is
-    i * T^nu; at nu = 0 that degenerates to the 1x1 matrix [i].
-    """
-    if nu < 0:
-        raise ValueError(f"need nu >= 0, got {nu}")
-    if not 1 <= j <= 2 * nu + 1:
-        raise ValueError(f"need 1 <= j <= {2 * nu + 1}, got j = {j}")
-    t_mat = generator_2x2("T")
-    if j == 2 * nu + 1:
-        return tensor_power(t_mat, nu).times_i()
-    t = (j - 1) // 2
-    g = generator_2x2("g1" if j % 2 == 1 else "g2")
-    left = tensor_power(generator_2x2("E"), nu - 1 - t)
-    return kronecker(kronecker(left, g), tensor_power(t_mat, t))
-
-
 def predicted_sign(j: int, nu: int) -> int:
     """Sign eps_j in conj(A_j z) = eps_j * A_j(conj z).
 
@@ -167,31 +125,61 @@ def predicted_sign(j: int, nu: int) -> int:
     return -1 if ((j - 1) // 2) % 2 == 0 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordFamily:
-    """The 2*nu(n+1) + 1 automorphisms of C^(n+1) with their conjugation signs."""
+    """The 2*nu(n+1) + 1 automorphisms of C^(n+1) with their conjugation signs.
+
+    Row j - 1 of the stacked (count, n + 1) arrays `perm` and `phase` is A_j;
+    `matrices` holds the rows as validated GaussMatrix objects.
+    """
 
     n: int
     nu: int
     b: int
-    matrices: tuple[GaussMatrix, ...]
+    perm: np.ndarray
+    phase: np.ndarray
     predicted_signs: tuple[int, ...]
+    matrices: tuple[GaussMatrix, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        perm = np.array(self.perm, dtype=np.int64)
+        phase = np.asarray(self.phase, dtype=np.int64) % 4
+        if perm.shape != phase.shape or perm.shape[1:] != (self.n + 1,):
+            shapes = f"{perm.shape}, {phase.shape}"
+            raise ValueError(f"need perm, phase of shape (count, {self.n + 1}), got {shapes}")
+        object.__setattr__(self, "matrices", tuple(map(GaussMatrix, perm, phase)))
+        for name, value in (("perm", perm), ("phase", phase)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def count(self) -> int:
         return len(self.matrices)
 
+    @cached_property
+    def units(self) -> np.ndarray:
+        """i^phase for every row, built on first use."""
+        return UNITS[self.phase]
+
 
 def build_family(n: int) -> CliffordFamily:
-    """Build the family for C^(n+1): b-fold block diagonals E_b (x) A of the spin generators."""
+    """Build the family for C^(n+1) from the Pauli words of the spin generators."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     v = nu_of(n + 1)
-    b = (n + 1) >> v
-    blocks = GaussMatrix.identity(b)
-    matrices = tuple(kronecker(blocks, spin_generator(j, v)) for j in range(1, 2 * v + 2))
-    signs = tuple(predicted_sign(j, v) for j in range(1, 2 * v + 2))
-    return CliffordFamily(n=n, nu=v, b=b, matrices=matrices, predicted_signs=signs)
+    j = np.arange(1, 2 * v + 2)
+    t = (j - 1) // 2
+    # the Y letters hold the low t bits and the g letter bit t, so each mask is
+    # 2^bits - 1: g2 = iX adds bit t to xmask, g1 = iZ to zmask, i*Y^nu neither
+    x_bits = np.where(j % 2 == 0, t + 1, t)
+    z_bits = np.where(j % 2 == 1, np.minimum(t + 1, v), t)
+    rows = np.arange(n + 1)
+    low_parity = np.zeros((v + 1, n + 1), dtype=np.int64)  # [s]: parity of rows' low s bits
+    np.bitwise_xor.accumulate((rows >> np.arange(v)[:, None]) & 1, axis=0, out=low_parity[1:])
+    perm = rows ^ ((1 << x_bits) - 1)[:, None]
+    phase = (1 + 3 * t)[:, None] + 2 * low_parity[z_bits]
+    signs = tuple(predicted_sign(k, v) for k in j.tolist())
+    return CliffordFamily(n, v, (n + 1) >> v, perm, phase, signs)
 
 
 @dataclass(frozen=True)
@@ -223,21 +211,25 @@ def verify_family(family: CliffordFamily) -> FamilyReport:
     (c) conj(A_j) = eps_j A_j entrywise, eps_j the predicted sign: every
         phase is even for eps_j = +1 (real entries) and odd for eps_j = -1.
 
-    Failures are report content, not exceptions.
+    (a) gathers A_j A_k = (perm[k][perm[j]], phase[j] + phase[k][perm[j]])
+    and A_k A_j for all k > j at once, (b) gathers the whole family; no array
+    is (count, count, n + 1).  Failures are report content, not exceptions.
     """
-    mats = family.matrices
+    perm, phase, count = family.perm, family.phase, family.count
     checks: list[IdentityCheck] = []
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            jk, kj = mats[j] @ mats[k], mats[k] @ mats[j]
-            ok = np.array_equal(jk.perm, kj.perm) and bool(np.all((jk.phase - kj.phase) % 4 == 2))
-            checks.append(IdentityCheck(f"anticommute[{j + 1},{k + 1}]", ok))
-    for j, a in enumerate(mats):
-        ok = np.array_equal(a.perm[a.perm], np.arange(a.size)) and np.array_equal(
-            a.phase, (2 - a.phase[a.perm]) % 4
-        )
-        checks.append(IdentityCheck(f"skew_hermitian[{j + 1}]", ok))
-    for j, (a, sign) in enumerate(zip(mats, family.predicted_signs)):
-        ok = bool(np.all(a.phase % 2 == (sign == -1)))
-        checks.append(IdentityCheck(f"conjugation_sign[{j + 1}]", ok))
+    for j in range(count - 1):
+        pj, hj, later = perm[j], phase[j], perm[j + 1 :]
+        same_perm = (perm[j + 1 :, pj] == pj[later]).all(axis=1)
+        jk_minus_kj = hj + phase[j + 1 :, pj] - phase[j + 1 :] - hj[later]
+        ok = same_perm & (jk_minus_kj % 4 == 2).all(axis=1)
+        pairs = enumerate(ok.tolist(), j + 2)
+        checks += (IdentityCheck(f"anticommute[{j + 1},{k}]", p) for k, p in pairs)
+    back = np.take_along_axis(perm, perm, axis=1)
+    skew = (back == np.arange(family.n + 1)).all(axis=1) & (
+        phase == (2 - np.take_along_axis(phase, perm, axis=1)) % 4
+    ).all(axis=1)
+    checks += (IdentityCheck(f"skew_hermitian[{j}]", p) for j, p in enumerate(skew.tolist(), 1))
+    odd = np.array(family.predicted_signs)[:, None] == -1
+    conj = (phase % 2 == odd).all(axis=1)
+    checks += (IdentityCheck(f"conjugation_sign[{j}]", p) for j, p in enumerate(conj.tolist(), 1))
     return FamilyReport(n=family.n, checks=tuple(checks))

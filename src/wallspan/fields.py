@@ -70,7 +70,7 @@ from enum import Enum
 
 import numpy as np
 
-from .clifford import UNITS, CliffordFamily, predicted_sign
+from .clifford import CliffordFamily, predicted_sign
 
 POINT_TOL = 1e-12
 # The acceptance contract's pinned tolerances; no option or config field sets them.
@@ -431,9 +431,7 @@ def evaluate_batch(points: PointBatch, family: CliffordFamily) -> FieldBatch:
     u = np.empty((count, delta, v.shape[1]))
     mu = np.empty((count, delta), dtype=np.complex128)
 
-    perms = np.stack([a.perm for a in family.matrices])
-    units = UNITS[np.stack([a.phase for a in family.matrices])]
-    az = np.multiply(units, z[:, perms], out=w[:, :low])  # A_j z at every sample
+    az = np.multiply(family.units, z[:, family.perm], out=w[:, :low])  # A_j z at every sample
     b = np.einsum("sja,sa->sj", az.conj(), z)  # beta_j(z)
     eye = np.eye(v.shape[1])
     t = v[:, :1]  # <v, e_1>

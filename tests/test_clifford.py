@@ -10,20 +10,14 @@ tolerance, 1e-12.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wallspan.clifford import (
-    GaussMatrix,
-    build_family,
-    generator_2x2,
-    kronecker,
-    predicted_sign,
-    spin_generator,
-    tensor_power,
-    verify_family,
-)
+import clifford_reference as ref
+from clifford_reference import generator_2x2, kronecker, spin_generator, tensor_power, with_matrices
+from wallspan.clifford import GaussMatrix, build_family, predicted_sign, verify_family
 from wallspan.invariants import nu
 
 N_GRID = range(17)
@@ -140,8 +134,7 @@ def test_anticommutation_is_odd_symplectic_form(v):
     # the words are the family's: X bits flip the row index, Z bits sign it
     r = np.arange(2**v)
     weights = 1 << np.arange(v - 1, -1, -1)  # factor 0 is the most significant bit
-    for j, (x, z) in enumerate(words, start=1):
-        a = spin_generator(j, v)
+    for (x, z), a in zip(words, build_family(2**v - 1).matrices):
         assert np.array_equal(a.perm, r ^ int(x @ weights))
         assert np.array_equal((a.phase - a.phase[0]) % 4, 2 * parity(r, int(z @ weights)))
 
@@ -151,7 +144,7 @@ def test_symplectic_form_decides_commutation_of_products(v):
     # products of random subsets of the family commute or anticommute; the
     # monomial check and the symplectic form must agree on every pair
     rng = np.random.default_rng(v)
-    mats = [spin_generator(j, v) for j in range(1, 2 * v + 2)]
+    mats = build_family(2**v - 1).matrices
     words = [pauli_bits(j, v) for j in range(1, 2 * v + 2)]
     seen = set()
     for _ in range(40):
@@ -279,7 +272,7 @@ def _mutated(family, j, perm=None, phase=None):
     bad = GaussMatrix(a.perm if perm is None else perm, a.phase if phase is None else phase)
     mats = list(family.matrices)
     mats[j - 1] = bad
-    return dataclasses.replace(family, matrices=tuple(mats))
+    return with_matrices(family, mats)
 
 
 def test_verify_family_detects_mutation():
@@ -313,6 +306,63 @@ def test_verify_family_n0():
 def test_verify_family_scales_to_4095():
     report = verify_family(build_family(4095))
     assert report.all_passed and len(report.checks) == 25 * 24 // 2 + 2 * 25
+
+
+def test_verify_family_memory_peak():
+    # one gather per generator keeps the work O(count * n); broadcasting all
+    # pairs at once, (count, count, n + 1), read about 80 MB here
+    verify_family(build_family(3))
+    tracemalloc.start()
+    try:
+        report = verify_family(build_family(4095))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed and peak <= 8 * 2**20
+
+
+# -- the Kronecker-chain oracle (tests/clifford_reference.py) -------------------
+
+
+def test_build_family_matches_kronecker_reference():
+    for n in range(256):
+        family, expected = build_family(n), ref.build_family(n)
+        assert (family.nu, family.b) == (expected.nu, expected.b), n
+        assert np.array_equal(family.perm, expected.perm), n
+        assert np.array_equal(family.phase, expected.phase), n
+        assert family.predicted_signs == expected.predicted_signs, n
+        assert all(a == b for a, b in zip(family.matrices, expected.matrices)), n
+
+
+def _broken_families(family):
+    """Every generator flipped, permuted, duplicated, made Hermitian or mis-signed."""
+    mats, count = family.matrices, family.count
+    for j, a in enumerate(mats, start=1):
+        phase = a.phase.copy()
+        phase[-1] += 2
+        yield _mutated(family, j, phase=phase)
+        phase[0] += 1
+        yield _mutated(family, j, phase=phase)
+        if a.size > 2:
+            perm = a.perm.copy()
+            perm[[0, 2]] = perm[[2, 0]]
+            yield _mutated(family, j, perm=perm)
+        yield with_matrices(family, mats[: j - 1] + (a.times_i(),) + mats[j:])
+        yield with_matrices(family, mats[: j - 1] + (mats[j % count],) + mats[j:])
+        signs = list(family.predicted_signs)
+        signs[j - 1] = -signs[j - 1]
+        yield dataclasses.replace(family, predicted_signs=tuple(signs))
+
+
+@pytest.mark.parametrize("n", [*N_GRID, 23, 63, 95, 127])
+def test_verify_family_matches_pair_loop_reference(n):
+    family = build_family(n)
+    assert verify_family(family) == ref.verify_family(family)
+    for broken in _broken_families(family):
+        report = verify_family(broken)
+        assert report == ref.verify_family(broken)
+        # with one generator (n even) a flip, swap or self-duplicate can stay valid
+        assert family.count == 1 or not report.all_passed
 
 
 @pytest.mark.parametrize("n", N_GRID)

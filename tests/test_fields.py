@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from clifford_reference import with_matrices
 from wallspan.clifford import build_family
 from wallspan.fields import (
     TANGENCY_TOL,
@@ -448,7 +449,7 @@ def test_batched_engine_matches_reference_on_broken_family():
     # i*A_1 is Hermitian: its field leaves the tangent space and flips its
     # sigma-sign, so both paths must report the same missing signs
     family = build_family(3)
-    broken = replace(family, matrices=(family.matrices[0].times_i(),) + family.matrices[1:])
+    broken = with_matrices(family, (family.matrices[0].times_i(),) + family.matrices[1:])
     signs, _ = _assert_engine_matches_reference(2, broken)
     assert (signs[SIGMA][:, 0] != expected_quasi_sign(1, SIGMA, family.nu, 2)).all()
 

@@ -3,12 +3,12 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from clifford_reference import with_matrices
 from wallspan import cli, f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family, verify_family
@@ -74,7 +74,7 @@ def test_campaign_grid_complete_and_deterministic():
 
 def _use_family(monkeypatch, n, matrices):
     # replaces the campaign's family at this n only; other n keep the real one
-    family = replace(build_family(n), matrices=matrices)
+    family = with_matrices(build_family(n), matrices)
     family_for, report_for = harness.family_for, harness.family_report_for
     monkeypatch.setattr(harness, "family_for", lambda k: family if k == n else family_for(k))
     monkeypatch.setattr(
@@ -306,6 +306,30 @@ def test_cli_non_finite_field_fails_its_case(capsys, monkeypatch):
     assert "acceptance: FAIL" in capsys.readouterr().out
 
 
+class _HugeDraw:
+    """A stream whose first standard_normal draw is 1e200, so |z| overflows."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, shape):
+        draws = self.rng.standard_normal(shape)
+        draws[0, 0] = 1e200
+        return draws
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    # check_unit failing inside a run is no bad flag: main does not return 2,
+    # the error propagates (a traceback and exit status 1 from entry_point)
+    stream = fields.stream
+    monkeypatch.setattr(fields, "stream", lambda *key: _HugeDraw(stream(*key)))
+    with pytest.raises(ValueError, match="sample 0: z must be a unit vector") as exc:
+        main(["fields", "--m", "1", "--n", "1", "--samples", "5"])
+    assert not isinstance(exc.value, cli.UsageError)
+    assert capsys.readouterr().err == ""
+
+
 def test_run_case_memory_peak():
     # one stacked evaluation per image and per root keeps the traced peak of a
     # case near 1 MB; stacking the 8 roots into one evaluation raised it to 2.6 MB
@@ -367,6 +391,17 @@ def test_cli_rejects_repeated_grid_values(capsys, flag, spec, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: repeated {name} values in ")
+
+
+def test_cli_usage_errors_exit_2(capsys):
+    for argv in (
+        ["clifford", "--n", "-1"],
+        ["cohomology", "--m", "0", "--n", "1"],
+        ["fields", "--m", "x"],
+        ["fields", "--n", "3:1"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_rejects_zero_samples(capsys):
