@@ -2,7 +2,9 @@
 
 The family is stored as signed permutations; these tests hold it to an
 independent dense oracle (np.kron of the literal complex 2x2 generators,
-placed block by block) and to the Pauli-word symplectic form.  Everything
+placed block by block), to the Pauli-word symplectic form, and to the
+Kronecker-chain construction and pair-loop verification kept in
+`clifford_reference.py`.  Everything
 is exact: the dense matrices and their products have entries in
 {0, +-1, +-i}, so they compare with zero tolerance, and so does a matrix
 applied to a vector.  Only the beta / pairwise-orthogonality tests allow a
