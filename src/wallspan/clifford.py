@@ -35,7 +35,7 @@ memory, never all pairs at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -130,7 +130,7 @@ class CliffordFamily:
     """The 2*nu(n+1) + 1 automorphisms of C^(n+1) with their conjugation signs.
 
     Row j - 1 of the stacked (count, n + 1) arrays `perm` and `phase` is A_j;
-    `matrices` holds the rows as validated GaussMatrix objects.
+    `matrices` gives the rows as GaussMatrix objects, built on first use.
     """
 
     n: int
@@ -139,22 +139,30 @@ class CliffordFamily:
     perm: np.ndarray
     phase: np.ndarray
     predicted_signs: tuple[int, ...]
-    matrices: tuple[GaussMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         perm = np.array(self.perm, dtype=np.int64)
         phase = np.asarray(self.phase, dtype=np.int64) % 4
-        if perm.shape != phase.shape or perm.shape[1:] != (self.n + 1,):
+        size = self.n + 1
+        if perm.ndim != 2 or perm.shape != phase.shape or perm.shape[1] != size:
             shapes = f"{perm.shape}, {phase.shape}"
-            raise ValueError(f"need perm, phase of shape (count, {self.n + 1}), got {shapes}")
-        object.__setattr__(self, "matrices", tuple(map(GaussMatrix, perm, phase)))
+            raise ValueError(f"need perm, phase of shape (count, {size}), got {shapes}")
+        # every row a permutation of 0..n: offset row r by r (n + 1), then each value once
+        in_range = ((perm >= 0) & (perm < size)).all()
+        offset = perm + size * np.arange(len(perm))[:, None]
+        if not (in_range and (np.bincount(offset.ravel(), minlength=perm.size) == 1).all()):
+            raise ValueError(f"a row of perm is not a permutation of 0..{self.n}")
         for name, value in (("perm", perm), ("phase", phase)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
     def count(self) -> int:
-        return len(self.matrices)
+        return self.perm.shape[0]
+
+    @cached_property
+    def matrices(self) -> tuple[GaussMatrix, ...]:
+        return tuple(map(GaussMatrix, self.perm, self.phase))
 
     @cached_property
     def units(self) -> np.ndarray:

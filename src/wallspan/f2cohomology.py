@@ -18,11 +18,24 @@ x^2 = 0 gives (1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
 
     w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3:
 
-each class is read off the powers w U^s and w U^(s+1), and multiplying by U
-is a running XOR along the c axis.  A class depends only on its memo key
-(s, k1 mod 2, k3 mod 2); k classes reach the keys with s <= k, k1 odd only if
-s < k and k3 odd only if s >= 1, and k is ruled out iff every reachable key's
-class has a degree above dim - k.  The witnesses are listed on demand.
+each class is read off the powers w U^s and w U^(s+1), and depends only on
+its memo key (s, k1 mod 2, k3 mod 2).  k classes reach the keys with s <= k,
+k1 odd only if s < k and k3 odd only if s >= 1, and k is ruled out iff every
+reachable key's class has a degree above dim - k.  The witnesses are listed
+on demand.
+
+`VirtualSwSearch` keeps each class bit-packed in two Python ints, h0 and h1
+(the x^0 and x^1 parts): x^e c^i d^j sits at bit q (m+1) + i, q = e + i + 2j
+its degree, so degree q is a block of m + 1 bits and j is implied by q and i.
+Times c^t is then a shift by t (m+2), and times U a segmented prefix XOR along
+each c run: for t = 1, 2, 4, ... <= m, h ^= (h << t (m+2)) & keep_t, where
+keep_t keeps the slots i >= t of every block; h1 ^= (h0 & row_m) << (m+1)
+then folds c^(m+1) onto x c^m.  A class's top degree is
+(bit_length(h0 | h1) - 1) // (m+1), and its failure degree the lowest set bit
+above the block of dim - k.  `rule_out` reads a memoised running minimum of
+top degrees over the reachable keys: key (0, 0, 0) at k = 0, and step s adds
+(s, 0, 0), (s, 0, 1), (s-1, 1, 0) and, for s >= 2, (s-1, 1, 1).  A scan thus
+computes each of its O(bound) keys once, and the powers only as far as it goes.
 
 By Lucas' theorem c^a d^b is odd in (1 + c + d)^(n+1) iff a & b = 0 and a | b
 is a submask of n + 1, and c^i in (1 + c)^(m-1) iff i is a submask of m - 1,
@@ -31,7 +44,6 @@ so w(Q) needs no ring product (see `total_sw_wall`).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
@@ -216,7 +228,7 @@ class RuleOutResult:
     k: int
     ruled_out: bool
     max_allowed_degree: int
-    class_degrees: Callable[[Key], tuple[int, ...]] = field(repr=False, compare=False)
+    failure_degree: Callable[[Key, int], int | None] = field(repr=False, compare=False)
 
     @property
     def bound(self) -> int:
@@ -233,12 +245,18 @@ class RuleOutResult:
                 for k3 in range(k - k1 - k2 + 1):
                     key = (k2 + k3, k1 & 1, k3 & 1)
                     if key not in failures:
-                        degrees = self.class_degrees(key)  # failure: first degree > allowed
-                        failures[key] = next(iter(degrees[bisect_right(degrees, allowed) :]), None)
+                        failures[key] = self.failure_degree(key, allowed)
                     out.append(MultisetWitness((k - k1 - k2 - k3, k1, k2, k3), failures[key]))
                     if failures[key] is None:
                         return tuple(out)
         return tuple(out)
+
+
+def _new_keys(s: int) -> tuple[Key, ...]:
+    """The memo keys reachable by s classes but not by s - 1."""
+    if s == 0:
+        return ((0, 0, 0),)
+    return ((s, 0, 0), (s, 0, 1), (s - 1, 1, 0)) + ((s - 1, 1, 1),) * (s >= 2)
 
 
 class VirtualSwSearch:
@@ -246,45 +264,80 @@ class VirtualSwSearch:
 
     By the closed form, the virtual class for the multiplicities (k1, k2, k3) of
     x, c and x+c depends only on (k2 + k3, k1 mod 2, k3 mod 2), its memo key.
+    Classes are bit-packed pairs (h0, h1) of Python ints, see the module docstring.
     """
 
     def __init__(self, p: WallParams) -> None:
         self.ring = wall_presentation(p.m, p.n)
         self.w = total_sw_wall(p)
-        self._powers = [self.w.coeffs]  # w U^s for s = 0, 1, ...
-        self._degrees: dict[Key, tuple[int, ...]] = {}
+        m, dim = p.m, self.ring.top_degree
+        self._block = b = m + 1  # bits per degree
+        self._width = width = (dim + 1) * b
+        firsts = ((1 << width) - 1) // ((1 << b) - 1)  # slot 0 of every degree
+        # times c^t shifts by t (m + 2); keep_t drops what wraps past slot m
+        doubling = (1 << a for a in range(m.bit_length()))  # t = 1, 2, 4, ... <= m
+        self._steps = [(t * (b + 1), ((1 << b) - (1 << t)) * firsts) for t in doubling]
+        self._row_m = firsts << m
+        bits = np.zeros((2, width), np.uint8)
+        self._slots(bits)[...] = self.w.coeffs
+        packed = np.packbits(bits, 1, bitorder="little")
+        h0, h1 = (int.from_bytes(row.tobytes(), "little") for row in packed)
+        self._powers = [(h0, h1 << b)]  # w U^s for s = 0, 1, ...
+        self._min_tops: list[int] = []  # least top degree over the keys reachable by k classes
 
-    def _power(self, s: int) -> np.ndarray:
-        while len(self._powers) <= s:  # times U: a running XOR along the c axis,
-            nxt = np.bitwise_xor.accumulate(self._powers[-1], axis=1)
-            nxt[1, -1] ^= nxt[0, -1]  # with the c^(m+1) coefficient folded onto x c^m
-            self._powers.append(nxt)
-        return self._powers[s]
+    def _slots(self, bits: np.ndarray) -> np.ndarray:
+        """The (e, i, j) view of a (2, width) bit array: x^e c^i d^j sits at
+        bit (i + 2j)(m + 1) + i of row e, so row 1 is h1 one degree low."""
+        b = self._block
+        shape, strides = (2, b, self.ring.n + 1), (bits.strides[0], b + 1, 2 * b)
+        return np.ndarray(shape, np.uint8, bits, 0, strides)
+
+    def _packed_class(self, key: Key) -> tuple[int, int]:
+        s, p1, p3 = key
+        powers, b = self._powers, self._block
+        while len(powers) <= s + 1:  # times U: a segmented prefix XOR along each c run,
+            h0, h1 = powers[-1]
+            for shift, keep in self._steps:
+                h0 ^= (h0 << shift) & keep
+                h1 ^= (h1 << shift) & keep
+            powers.append((h0, h1 ^ (h0 & self._row_m) << b))  # with c^(m+1) -> x c^m
+        h0, h1 = powers[s]
+        # add x (p1 w U^s + p3 w U^(s+1)); times x shifts the x^0 half up one degree
+        if p1:
+            h1 ^= h0 << b
+        if p3:
+            h1 ^= powers[s + 1][0] << b
+        return h0, h1
 
     def virtual_class(self, triple: tuple[int, int, int]) -> GradedF2Poly:
         """w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) for multiplicities (k1, k2, k3)."""
         k1, k2, k3 = triple
-        out = self._power(k2 + k3).copy()
-        # add x (k1 w U^s + k3 w U^(s+1)); multiplying by x keeps only the x^0 parts
-        out[1] ^= (k1 & 1) * out[0] ^ (k3 & 1) * self._power(k2 + k3 + 1)[0]
-        return GradedF2Poly(self.ring, out)
+        h0, h1 = self._packed_class((k2 + k3, k1 & 1, k3 & 1))
+        size = (self._width + 7) // 8
+        raw = b"".join(h.to_bytes(size, "little") for h in (h0, h1 >> self._block))
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(2, size), 1, bitorder="little")
+        return GradedF2Poly(self.ring, self._slots(bits).copy())
 
-    def class_degrees(self, key: Key) -> tuple[int, ...]:
-        if key not in self._degrees:
-            s, p1, p3 = key
-            self._degrees[key] = self.virtual_class((p1, s - p3, p3)).degrees()
-        return self._degrees[key]
+    def class_top_degree(self, key: Key) -> int:
+        """The class's highest degree: what `rule_out` reads of each key."""
+        h0, h1 = self._packed_class(key)
+        return ((h0 | h1).bit_length() - 1) // self._block  # every class is a unit, never 0
+
+    def class_failure_degree(self, key: Key, allowed: int) -> int | None:
+        """The class's lowest degree above `allowed`, or None if it has none."""
+        h0, h1 = self._packed_class(key)
+        above = (h0 | h1) >> (allowed + 1) * self._block
+        return allowed + 1 + ((above & -above).bit_length() - 1) // self._block if above else None
 
     def rule_out(self, k: int) -> RuleOutResult:
         dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
-        allowed = dim - k
-        keys = ((s, p1, p3) for s in range(k + 1)  # reachable at k, s ascending
-                for p1 in range(1 + (s < k)) for p3 in range(1 + (s > 0)))
-        # every class is a unit, so its degrees are never empty
-        ruled_out = all(self.class_degrees(key)[-1] > allowed for key in keys)
-        return RuleOutResult(k, ruled_out, allowed, self.class_degrees)
+        tops = self._min_tops
+        while len(tops) <= k:  # each key's top degree enters the running minimum once
+            new = [self.class_top_degree(key) for key in _new_keys(len(tops))]
+            tops.append(min(tops[-1:] + new))
+        return RuleOutResult(k, tops[k] > dim - k, dim - k, self.class_failure_degree)
 
     def scan(self) -> Iterator[RuleOutResult]:
         """Yield rule_out(k) for k = 1, 2, ..., dim, stopping at the smallest ruled-out k.

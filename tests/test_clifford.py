@@ -243,6 +243,20 @@ def test_family_count(n):
     assert build_family(n).count == 2 * nu(n + 1) + 1
 
 
+def test_family_rejects_a_bad_row_at_construction():
+    # the rows are checked when the family is made, not when `matrices` is built
+    family = build_family(7)
+    assert "matrices" not in vars(family)
+    for bad in ([1, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 8], [-1, 1, 2, 3, 4, 5, 6, 7]):
+        perm = family.perm.copy()
+        perm[2] = bad
+        with pytest.raises(ValueError, match="not a permutation"):
+            dataclasses.replace(family, perm=perm)
+    perm = family.perm.copy()
+    perm[2] = perm[2, ::-1]
+    assert dataclasses.replace(family, perm=perm).count == family.count
+
+
 def test_predicted_sign_values():
     assert [predicted_sign(j, 1) for j in (1, 2, 3)] == [-1, -1, 1]
     assert predicted_sign(1, 0) == -1

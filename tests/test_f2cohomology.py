@@ -17,7 +17,7 @@ from wallspan.f2cohomology import (
     total_sw_wall,
     wall_presentation,
 )
-from wallspan.invariants import WallParams
+from wallspan.invariants import WallParams, nu
 
 from f2_reference import power, rule_out_reference, unit_inverse
 
@@ -338,14 +338,16 @@ def test_rule_out_matches_triple_loop_through_the_first_ruled_out_k(m, n):
 
 def test_rule_out_consults_exactly_the_reachable_keys():
     # fake classes that all reach degree dim except one key's: k must be
-    # admissible iff some multiset of k classes has that key
-    search = VirtualSwSearch(WallParams(4, 5))
-    dim = search.ring.top_degree
+    # admissible iff some multiset of k classes has that key; a fresh search
+    # each time, since the running minimum of top degrees is memoised
+    p = WallParams(4, 5)
     for k in range(1, 7):
         triples = product(range(k + 1), repeat=3)
         reachable = {(k2 + k3, k1 & 1, k3 & 1) for k1, k2, k3 in triples if k1 + k2 + k3 <= k}
         for passing in product(range(k + 2), (0, 1), (0, 1)):
-            search.class_degrees = lambda key, passing=passing: (0,) if key == passing else (0, dim)
+            search = VirtualSwSearch(p)
+            dim = search.ring.top_degree
+            search.class_top_degree = lambda key, passing=passing: 0 if key == passing else dim
             assert search.rule_out(k).ruled_out == (passing not in reachable), (k, passing)
 
 
@@ -358,6 +360,13 @@ def test_scan_builds_no_witnesses():
     assert "witnesses" in vars(results[-1])
 
 
+def test_sw_upper_bound_closed_form():
+    # the scan's bound is m - 1 + 2^(nu(n+1) + 1) over the whole grid
+    for m in range(1, 13):
+        for n in range(64):
+            assert sw_upper_bound(WallParams(m, n)) == m - 1 + 2 ** (nu(n + 1) + 1), (m, n)
+
+
 def test_sw_upper_bound_values():
     assert sw_upper_bound(WallParams(2, 2)) == 3
     assert sw_upper_bound(WallParams(4, 2)) == 5  # m + 1
@@ -368,9 +377,10 @@ def test_sw_upper_bound_values():
 # -- the closed-form virtual class and the scan ------------------------------------
 
 
-@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (4, 5), (10, 7), (10, 32)])
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (4, 5), (10, 7), (10, 32), (15, 3), (16, 3)])
 def test_virtual_class_closed_form_matches_products(m, n):
-    # w U^s (1 + x (k1 + k3 U)) against w * unit_inverse(product), all through ring products
+    # w U^s (1 + x (k1 + k3 U)) against w * unit_inverse(product), all through ring
+    # products; m = 15, 16 sit at and just past a power of two of the shift steps
     search = VirtualSwSearch(WallParams(m, n))
     pres = wall_presentation(m, n)
     one, x, c = pres.one(), pres.gen("x"), pres.gen("c")
