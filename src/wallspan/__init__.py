@@ -33,24 +33,7 @@ from .f2cohomology import (
     total_sw_wall,
     wall_presentation,
 )
-from .fields import (
-    AmbientTangent,
-    IndependenceReport,
-    InvolutionKind,
-    TotalSpacePoint,
-    apply_differential,
-    apply_involution,
-    check_well_defined,
-    evaluate_field,
-    expected_quasi_sign,
-    independence_report,
-    quasi_invariance_sign,
-    sample_point,
-    stream,
-    tangency_residuals,
-    xi_high,
-    xi_low,
-)
+from .fields import InvolutionKind, expected_quasi_sign
 from .harness import CampaignConfig, CampaignResult, run_campaign
 from .invariants import (
     WallParams,

@@ -1,61 +1,56 @@
 """The mod-2 cohomology ring of the Wall manifold and the line-bundle splitting obstruction.
 
 H^*(Q(m, n); F_2) = F_2[x, c, d] / (x^2, c^(m+1) - c^m x, d^(n+1)), with
-|x| = |c| = 1 and |d| = 2, has the explicit basis x^e c^i d^j, e <= 1,
-i <= m, j <= n, all of degree <= dim Q(m, n) = m + 2n + 1.  An element is a
-dense 0/1 array indexed (e, i, j); a product is an F_2 convolution folded by
-the closed rules c^(m+1) -> x c^m, c^(m+2) -> 0, x^2 -> 0 and d^(n+1) -> 0.
+|x| = |c| = 1 and |d| = 2, has the basis x^e c^i d^j, e <= 1, i <= m, j <= n,
+all of degree <= dim Q(m, n) = m + 2n + 1.  An element is a pair of Python
+ints (h0, h1), its x^0 and x^1 parts: x^e c^i d^j is bit q (m+1) + i of h_e,
+q = e + i + 2j its degree, so each degree is a block of m + 1 bits.  Products
+are built from three steps whose shifts and masks `WallRing` computes once:
+times c^t shifts by t (m+2) and keeps the slots i >= t of each block, folding
+the c^(m+1) = x c^m that h0 wraps onto slot 0 into h1 (c^t = 0 for t >= m + 2);
+times d^t shifts by 2t blocks and keeps j <= n; times x moves h0 up one block
+into h1.  Mod 2, (1 + y)^(2^t) = 1 + y^(2^t), so w(Q) = (1 + c + x)
+(1 + c)^(m-1) (1 + c + d)^(n+1) is 1 + c + x times the factors 1 + c^(2^t)
+over the binary digits 2^t of m - 1 and 1 + c^(2^t) + d^(2^t) over those of n + 1.
 
-On the ring sits the mod-2 obstruction to splitting k line bundles off the
-tangent bundle: if k independent line fields exist, w(Q) / prod(1 + x_i) has
-no component above degree dim - k for some degree-1 classes x_1, ..., x_k.
-Ruling out every choice of the x_i bounds the projective span by k - 1, and
-then every larger k is ruled out too, so `VirtualSwSearch.scan` stops at the
-smallest ruled-out k.
+If k independent line fields exist, w(Q) / prod(1 + x_i) vanishes above degree
+dim - k for some degree-1 classes x_1, ..., x_k; ruling out every choice
+bounds the projective span by k - 1.  With U = (1 + c)^(-1), x^2 = 0 gives
+(1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
 
-The virtual class has a closed form.  With U = (1 + c)^(-1) = sum_{i <= m+1} c^i,
-x^2 = 0 gives (1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
+    w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3,
 
-    w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3:
+and as c^(m+2) = 0, U = (1 + c)^(2^L - 1) = prod_{l < L} (1 + c^(2^l)) for
+2^L > m + 1.  A class depends only on its memo key (s, k1 mod 2, k3 mod 2),
+and k is ruled out iff the class of every key that k classes reach has a
+degree above dim - k.  So `rule_out` reads a memoised running minimum of top
+degrees, adding the keys `_new_keys` lists at each step: a scan computes each
+of its O(bound) keys once.
 
-each class is read off the powers w U^s and w U^(s+1), and depends only on
-its memo key (s, k1 mod 2, k3 mod 2).  k classes reach the keys with s <= k,
-k1 odd only if s < k and k3 odd only if s >= 1, and k is ruled out iff every
-reachable key's class has a degree above dim - k.  The witnesses are listed
-on demand.
-
-`VirtualSwSearch` keeps each class bit-packed in two Python ints, h0 and h1
-(the x^0 and x^1 parts): x^e c^i d^j sits at bit q (m+1) + i, q = e + i + 2j
-its degree, so degree q is a block of m + 1 bits and j is implied by q and i.
-Times c^t is then a shift by t (m+2), and times U a segmented prefix XOR along
-each c run: for t = 1, 2, 4, ... <= m, h ^= (h << t (m+2)) & keep_t, where
-keep_t keeps the slots i >= t of every block; h1 ^= (h0 & row_m) << (m+1)
-then folds c^(m+1) onto x c^m.  A class's top degree is
-(bit_length(h0 | h1) - 1) // (m+1), and its failure degree the lowest set bit
-above the block of dim - k.  `rule_out` reads a memoised running minimum of
-top degrees over the reachable keys: key (0, 0, 0) at k = 0, and step s adds
-(s, 0, 0), (s, 0, 1), (s-1, 1, 0) and, for s >= 2, (s-1, 1, 1).  A scan thus
-computes each of its O(bound) keys once, and the powers only as far as it goes.
-
-By Lucas' theorem c^a d^b is odd in (1 + c + d)^(n+1) iff a & b = 0 and a | b
-is a submask of n + 1, and c^i in (1 + c)^(m-1) iff i is a submask of m - 1,
-so w(Q) needs no ring product (see `total_sw_wall`).
+The tests check the ring against sympy's Groebner reduction, a hand expansion
+of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
+with binomial coefficients; none of the three shares code with it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator
-
-import numpy as np
 
 from .invariants import WallParams
 
 Mono = tuple[int, int, int]
 Key = tuple[int, int, int]  # (s, k1 mod 2, k3 mod 2) of a multiset, see VirtualSwSearch
+Pair = tuple[int, int]  # the packed (h0, h1) of a class
 
 GENERATORS = ("x", "c", "d")
+
+
+def _bits(h: int) -> list[int]:
+    """Positions of the set bits of h >= 0, ascending."""
+    return [match.start() for match in re.finditer("1", bin(h)[:1:-1])]
 
 
 @dataclass(frozen=True)
@@ -74,22 +69,62 @@ class WallRing:
         if self.n < 0:
             raise ValueError(f"need n >= 0, got {self.n}")
 
-    @cached_property
-    def degree_grid(self) -> np.ndarray:
-        """Degree e + i + 2j of each basis monomial, indexed (e, i, j)."""
-        e, i, j = np.indices((2, self.m + 1, self.n + 1))
-        return e + i + 2 * j
-
     @property
     def top_degree(self) -> int:
         return self.m + 2 * self.n + 1
 
+    @cached_property
+    def block(self) -> int:
+        """Bits per degree in the packed layout: the slots i = 0..m."""
+        return self.m + 1
+
+    @cached_property
+    def _c_steps(self) -> tuple[int, list[tuple[int, int]]]:
+        """Slot 0 of every block to degree dim + 1, and (shift, keep) of times c^t, t <= m + 1."""
+        b = self.block
+        firsts = ((1 << (self.top_degree + 2) * b) - 1) // ((1 << b) - 1)
+        return firsts, [(t * (b + 1), ((1 << b) - (1 << t)) * firsts) for t in range(b + 1)]
+
+    @cached_property
+    def _basis_bits(self) -> Pair:
+        """The bits of all basis monomials, in h0 and in h1."""
+        b = self.block
+        fibre = ((1 << 2 * b * (self.n + 1)) - 1) // ((1 << 2 * b) - 1)  # d^j at bit 2jb, j <= n
+        diagonal = ((1 << (b + 1) * b) - 1) // ((1 << b + 1) - 1)  # c^i at bit i(b+1), i <= m
+        return fibre * diagonal, fibre * diagonal << b
+
+    def times_one_plus_c(self, h0: int, h1: int, ts: Iterable[int]) -> Pair:
+        """(h0, h1) times the product of 1 + c^t over ts, each t >= 1.
+
+        Times c^t shifts by t (m+2) and keeps the slots i >= t of every block;
+        what h0 wraps onto slot 0 is c^(m+1) = x c^m, one bit down in h1.
+        """
+        (firsts, steps), top = self._c_steps, self.m + 1
+        for t in ts:
+            if t <= top:  # else c^t = 0
+                shift, keep = steps[t]
+                s0 = h0 << shift
+                h0, h1 = h0 ^ s0 & keep, h1 ^ (h1 << shift) & keep ^ (s0 & firsts) >> 1
+        return h0, h1
+
+    def times_d(self, h0: int, h1: int, t: int) -> Pair:
+        """(h0, h1) times d^t: a shift by 2t blocks, keeping j <= n."""
+        shift, (keep0, keep1) = 2 * t * self.block, self._basis_bits
+        return (h0 << shift) & keep0, (h1 << shift) & keep1
+
+    def times_mono(self, h0: int, h1: int, mono: Mono) -> Pair:
+        """(h0, h1) times the basis monomial x^e c^i d^j."""
+        e, i, j = mono
+        g0, g1 = self.times_one_plus_c(h0, h1, (i,)) if i else (0, 0)  # c^i h = (1 + c^i) h + h
+        h0, h1 = self.times_d(h0 ^ g0, h1 ^ g1, j)
+        return (0, h0 << self.block) if e else (h0, h1)
+
     def basis(self, q: int) -> tuple[Mono, ...]:
         """Basis monomials of degree exactly q, lexicographically sorted."""
-        return tuple(map(tuple, np.argwhere(self.degree_grid == q).tolist()))
+        return tuple(sorted(GradedF2Poly(self, *self._basis_bits).component(q).monos))
 
     def zero(self) -> GradedF2Poly:
-        return GradedF2Poly(self, np.zeros(self.degree_grid.shape, np.uint8))
+        return GradedF2Poly(self, 0, 0)
 
     def one(self) -> GradedF2Poly:
         return self.element([(0, 0, 0)])
@@ -101,13 +136,13 @@ class WallRing:
 
     def element(self, monos: Iterable[Mono]) -> GradedF2Poly:
         """Sum of free monomials x^e c^i d^j, each folded onto the basis."""
-        out = self.zero()
+        h = [0, 0]
         for e, i, j in monos:
             if i > self.m:  # c^(m+1) = x c^m
                 e, i = e + i - self.m, self.m
             if e <= 1 and j <= self.n:
-                out.coeffs[e, i, j] ^= 1
-        return out
+                h[e] ^= 1 << (e + i + 2 * j) * self.block + i
+        return GradedF2Poly(self, *h)
 
 
 def wall_presentation(m: int, n: int) -> WallRing:
@@ -115,12 +150,13 @@ def wall_presentation(m: int, n: int) -> WallRing:
     return WallRing(m, n)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class GradedF2Poly:
-    """Element of a `WallRing`: 0/1 coefficients indexed (e, i, j)."""
+    """Element of a `WallRing`: its x^0 and x^1 parts h0 and h1, bit-packed."""
 
     ring: WallRing
-    coeffs: np.ndarray
+    h0: int
+    h1: int
 
     def _same_ring(self, other: GradedF2Poly) -> WallRing:
         if self.ring != other.ring:
@@ -128,41 +164,32 @@ class GradedF2Poly:
         return self.ring
 
     def __add__(self, other: GradedF2Poly) -> GradedF2Poly:
-        return GradedF2Poly(self._same_ring(other), self.coeffs ^ other.coeffs)
+        return GradedF2Poly(self._same_ring(other), self.h0 ^ other.h0, self.h1 ^ other.h1)
 
     def __mul__(self, other: GradedF2Poly) -> GradedF2Poly:
         ring = self._same_ring(other)
-        m, n = ring.m, ring.n
-        a, b = self.coeffs, other.coeffs
-        if np.count_nonzero(a) > np.count_nonzero(b):
-            a, b = b, a
-        full = np.zeros((3, 2 * m + 1, 2 * n + 1), np.uint8)
-        for e, i, j in np.argwhere(a):
-            full[e : e + 2, i : i + m + 1, j : j + n + 1] ^= b
-        # keep x^e c^i d^j with e <= 1, i <= m, j <= n and fold c^(m+1) = x c^m;
-        # x^2, c^(m+2), x c^(m+1) and d^(n+1) all vanish
-        out = full[:2, : m + 1, : n + 1].copy()
-        out[1, m] ^= full[0, m + 1, : n + 1]
-        return GradedF2Poly(ring, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedF2Poly):
-            return NotImplemented
-        return self.ring == other.ring and np.array_equal(self.coeffs, other.coeffs)
+        # the sum of one factor times each monomial of the other, the one with fewer terms
+        walk, factor = sorted((self, other), key=lambda p: p.h0.bit_count() + p.h1.bit_count())
+        terms = (ring.times_mono(factor.h0, factor.h1, mono) for mono in walk.monos)
+        return sum((GradedF2Poly(ring, *term) for term in terms), ring.zero())
 
     @property
     def monos(self) -> frozenset[Mono]:
-        return frozenset(map(tuple, np.argwhere(self.coeffs).tolist()))
+        b, halves = self.ring.block, (self.h0, self.h1)
+        slots = [(e, divmod(pos, b)) for e in (0, 1) for pos in _bits(halves[e])]
+        return frozenset((e, i, (q - e - i) // 2) for e, (q, i) in slots)
 
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        return not (self.h0 or self.h1)
 
     def component(self, q: int) -> GradedF2Poly:
         """The degree-q graded piece."""
-        return GradedF2Poly(self.ring, self.coeffs * (self.ring.degree_grid == q))
+        b = self.ring.block
+        mask = ((1 << b) - 1) << q * b if q >= 0 else 0
+        return GradedF2Poly(self.ring, self.h0 & mask, self.h1 & mask)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(np.bincount(self.ring.degree_grid[self.coeffs != 0])).tolist())
+        return tuple(dict.fromkeys(pos // self.ring.block for pos in _bits(self.h0 | self.h1)))
 
     def render(self) -> str:
         ordered = sorted(self.monos, key=lambda mo: (mo[0] + mo[1] + 2 * mo[2], mo))
@@ -182,17 +209,14 @@ def render_monomial(mono: Mono) -> str:
 
 def total_sw_wall(p: WallParams) -> GradedF2Poly:
     """Total Stiefel-Whitney class w(Q(m, n)) = (1 + c + x) (1 + c)^(m-1) (1 + c + d)^(n+1),
-    read off by Lucas' theorem (see the module docstring)."""
-    m, n = p.m, p.n
-    a, b = np.arange(m + 2)[:, None], np.arange(n + 1)
-    step = a - a.T  # (1 + c)^(m-1) as the lower Toeplitz matrix of its c^(i - a) coefficients
-    toeplitz = (step >= 0) & ((step & ~(m - 1)) == 0)
-    fibre = ((a & b) == 0) & (((a | b) & ~(n + 1)) == 0)  # c^a d^b in (1 + c + d)^(n+1)
-    prod = (toeplitz.astype(np.intp) @ fibre.astype(np.intp)).astype(np.uint8) & 1
-    out = np.stack([prod[: m + 1], prod[: m + 1]])  # (1 + x) prod, then + c prod:
-    out[0, 1:] ^= prod[:m]
-    out[1, m] ^= prod[m] ^ prod[m + 1]  # c^(m+1) -> x c^m; c^(m+2), x c^(m+1) vanish
-    return GradedF2Poly(wall_presentation(m, n), out)
+    each power a product of Frobenius factors (see the module docstring)."""
+    ring = wall_presentation(p.m, p.n)
+    w = ring.element([(0, 0, 0), (0, 1, 0), (1, 0, 0)])
+    h0, h1 = ring.times_one_plus_c(w.h0, w.h1, [1 << t for t in _bits(p.m - 1)])
+    for t in _bits(p.n + 1):  # (1 + c^T + d^T) h = (1 + c^T) h + d^T h, T = 2^t
+        (g0, g1), (f0, f1) = ring.times_one_plus_c(h0, h1, [1 << t]), ring.times_d(h0, h1, 1 << t)
+        h0, h1 = g0 ^ f0, g1 ^ f1
+    return GradedF2Poly(ring, h0, h1)
 
 
 # -- the virtual Stiefel-Whitney obstruction ------------------------------------
@@ -268,41 +292,21 @@ class VirtualSwSearch:
     """
 
     def __init__(self, p: WallParams) -> None:
-        self.ring = wall_presentation(p.m, p.n)
         self.w = total_sw_wall(p)
-        m, dim = p.m, self.ring.top_degree
-        self._block = b = m + 1  # bits per degree
-        self._width = width = (dim + 1) * b
-        firsts = ((1 << width) - 1) // ((1 << b) - 1)  # slot 0 of every degree
-        # times c^t shifts by t (m + 2); keep_t drops what wraps past slot m
-        doubling = (1 << a for a in range(m.bit_length()))  # t = 1, 2, 4, ... <= m
-        self._steps = [(t * (b + 1), ((1 << b) - (1 << t)) * firsts) for t in doubling]
-        self._row_m = firsts << m
-        bits = np.zeros((2, width), np.uint8)
-        self._slots(bits)[...] = self.w.coeffs
-        packed = np.packbits(bits, 1, bitorder="little")
-        h0, h1 = (int.from_bytes(row.tobytes(), "little") for row in packed)
-        self._powers = [(h0, h1 << b)]  # w U^s for s = 0, 1, ...
+        self.ring = self.w.ring
+        self._block = self.ring.block  # bits per degree
+        self._u_steps = [1 << l for l in range((p.m + 1).bit_length())]  # 2^L > m + 1
+        self._powers = [(self.w.h0, self.w.h1)]  # w U^s for s = 0, 1, ...
         self._min_tops: list[int] = []  # least top degree over the keys reachable by k classes
 
-    def _slots(self, bits: np.ndarray) -> np.ndarray:
-        """The (e, i, j) view of a (2, width) bit array: x^e c^i d^j sits at
-        bit (i + 2j)(m + 1) + i of row e, so row 1 is h1 one degree low."""
-        b = self._block
-        shape, strides = (2, b, self.ring.n + 1), (bits.strides[0], b + 1, 2 * b)
-        return np.ndarray(shape, np.uint8, bits, 0, strides)
-
-    def _packed_class(self, key: Key) -> tuple[int, int]:
+    def _packed_class(self, key: Key) -> Pair:
         s, p1, p3 = key
         powers, b = self._powers, self._block
-        while len(powers) <= s + 1:  # times U: a segmented prefix XOR along each c run,
+        while len(powers) <= s + 1:  # times U = (1 + c)(1 + c^2)(1 + c^4) ... (1 + c^(2^(L-1)))
             h0, h1 = powers[-1]
-            for shift, keep in self._steps:
-                h0 ^= (h0 << shift) & keep
-                h1 ^= (h1 << shift) & keep
-            powers.append((h0, h1 ^ (h0 & self._row_m) << b))  # with c^(m+1) -> x c^m
+            powers.append(self.ring.times_one_plus_c(h0, h1, self._u_steps))
         h0, h1 = powers[s]
-        # add x (p1 w U^s + p3 w U^(s+1)); times x shifts the x^0 half up one degree
+        # add x (p1 w U^s + p3 w U^(s+1)); times x moves h0 up one block into h1
         if p1:
             h1 ^= h0 << b
         if p3:
@@ -312,11 +316,7 @@ class VirtualSwSearch:
     def virtual_class(self, triple: tuple[int, int, int]) -> GradedF2Poly:
         """w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) for multiplicities (k1, k2, k3)."""
         k1, k2, k3 = triple
-        h0, h1 = self._packed_class((k2 + k3, k1 & 1, k3 & 1))
-        size = (self._width + 7) // 8
-        raw = b"".join(h.to_bytes(size, "little") for h in (h0, h1 >> self._block))
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(2, size), 1, bitorder="little")
-        return GradedF2Poly(self.ring, self._slots(bits).copy())
+        return GradedF2Poly(self.ring, *self._packed_class((k2 + k3, k1 & 1, k3 & 1)))
 
     def class_top_degree(self, key: Key) -> int:
         """The class's highest degree: what `rule_out` reads of each key."""

@@ -124,6 +124,25 @@ def test_mul_examples():
     assert not power(d, 3).is_zero()
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("n", range(4))
+def test_times_c_power_matches_hand_reduction(m, n):
+    # the one times-c^t step, through products in both orders (so whichever factor
+    # the product walks, the step runs with this t) and as a factor 1 + c^t
+    ring = wall_presentation(m, n)
+    basis = [mo for q in range(ring.top_degree + 1) for mo in ring.basis(q)]
+    for e, i, j in basis:
+        mono = ring.element([(e, i, j)])
+        for t in range(m + 3):
+            reduced = reduce_wall_by_hand((e, i + t, j), m, n)
+            expected = ring.element([reduced]) if reduced is not None else ring.zero()
+            c_t = ring.element([(0, t, 0)])
+            assert c_t * mono == expected and mono * c_t == expected, (e, i, j, t)
+            if t:
+                plus = GradedF2Poly(ring, *ring.times_one_plus_c(mono.h0, mono.h1, [t]))
+                assert plus == mono + expected, (e, i, j, t)
+
+
 def test_mul_rejects_mixed_presentations():
     a = wall_presentation(1, 1).gen("c")
     b = wall_presentation(2, 1).gen("c")
@@ -154,7 +173,7 @@ def test_ring_axioms(p, q, r):
 @given(_polys)
 def test_normal_form_idempotent(p):
     assert _PRES.element(p.monos) == p
-    assert GradedF2Poly(_PRES, p.coeffs.copy()) == p
+    assert GradedF2Poly(_PRES, p.h0, p.h1) == p
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +218,9 @@ def test_total_sw_wall_smallest_case():
     assert w == pres.one() + pres.gen("x")
 
 
-@pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (2, 2), (3, 2), (1, 3), (4, 4)])
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(1, 5) for n in range(9)] + [(10, 7), (10, 32)]
+)
 def test_total_sw_wall_matches_hand_expansion(m, n):
     assert total_sw_wall(WallParams(m, n)).monos == total_sw_by_hand(m, n)
 
