@@ -23,12 +23,13 @@ from .harness import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
     CampaignConfig,
+    formula_record,
     render_campaign_text,
     report_to_json,
     run_campaign,
     total_sw_json,
 )
-from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
+from .invariants import WallParams, pspan_wall
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -81,10 +82,9 @@ def emit(obj: dict[str, Any], fmt: str, text: str) -> None:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     p = validated(WallParams, args.m, args.n)
-    pspan = pspan_wall(p)
-    fib = upper_bound_fibration(p)
-    sspan = sspan_cpn(p.n)
-    consistent = pspan == fib and p.delta == pspan and pspan <= p.dim
+    formulas = formula_record(p)
+    pspan, fib, sspan = formulas["pspan"], formulas["fibrationUpperBound"], formulas["sspanCpn"]
+    consistent = all(c["passed"] for c in formulas["checks"])
     note = None
     if p.m % 2 == 0 and p.n % 2 == 0 and p.n > 0:
         note = f"m, n both even: span(Q) = 1 < pspan(Q) = {pspan} = m+1"

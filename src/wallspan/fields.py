@@ -27,27 +27,32 @@ delta = 2*nu(n+1) + m + 1 vector fields:
 
       xi_(2nu+j) = (0,  e_j - <v,e_j> v,  -i <v,e_j> lambda),   j = 2..m+1
 
-and checks tangency, representative-independence, the quasi-invariance
-signs under both involutions, and linear independence via singular values.
+and checks tangency, the quasi-invariance signs under both involutions,
+representative-independence and linear independence via singular values.
+The signs and representative-independence are one statement,
+dg(xi_j(P)) = s * xi_j(g(P)) with s = +-1, for g = sigma, tau or z -> omega z
+with omega an 8th root of unity (s = +1).  Each g is a real-linear isometry
+of C^(n+1) x R^(m+1) x C that preserves the total space, so dg = g: one map
+moves the points and pushes the fields forward.
 
-It does so twice.  The per-point functions (`stream`, `sample_point`,
-`xi_low`, `xi_high`, `evaluate_field`, `quasi_invariance_sign`,
-`check_well_defined`, `tangency_residuals`, `independence_report`, ...) take
-one point and one field at a time; they are the reference implementation.
-The batched engine (`sample_batch`, `PointBatch`, `evaluate_batch`,
-`quasi_invariance_signs`, `well_defined_batch`, `tangency_residuals_batch`,
-`svd_ranks`) evaluates all delta fields at all S samples of a case as arrays,
-w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta), written in place into
-one preallocated array each, and runs each check as whole-array work: the
-fields are evaluated afresh at sigma(P), tau(P) and omega*z for each root
-omega, and the ranks come from one stacked SVD.  A check compares two
-evaluations with `FieldBatch.within`, |difference| <= tol slot by slot, which
-is `tangent_distance(a, b) <= tol` at every (sample, field) and fails on NaN.
-The images and the 8 roots are evaluated one call each, not stacked into one
-call: stacking saved little in a cold run and raised a case's traced peak
-memory from about 1 MB to 2.6 MB or more.  A sample whose tangent matrix is not finite
-has rank 0 and never enters the SVD.  The campaign harness uses the engine;
-the tests hold it to the reference within 1e-12.
+It does so twice.  The per-point functions (`sample_point`, `evaluate_field`,
+`quasi_invariance_sign`, `check_well_defined`, `independence_report`, ...)
+are the reference implementation, one point and one field at a time; they
+spell out each differential on its own (`apply_differential`, the omega
+scaling in `check_well_defined`), so the tests check dg = g instead of
+assuming it.  The batched engine (`sample_batch`, `evaluate_batch`,
+`equivariance_signs`, `tangency_residuals_batch`, `svd_ranks`) evaluates all
+delta fields at all S samples of a case into preallocated arrays
+w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta).  `equivariance_signs`
+applies g along the last axis of (z, v, lambda) and of (w, u, mu), evaluates
+the fields afresh at g(P) and compares with `_all_within`, which is
+`tangent_distance <= tol` per (sample, field) and fails on NaN.  The
+tolerance comes with g (INVARIANCE_TOL for sigma and tau, TANGENCY_TOL for
+the roots), and the minus sign is sought only when some entry fails the plus
+check.  The images and the 8 roots are evaluated one call each: stacking them
+saved little and raised a case's traced peak memory from about 1 MB to 2.6 MB
+or more.  A sample whose tangent matrix is not finite has rank 0 and never
+enters the SVD.  The tests hold the engine to the reference within 1e-12.
 
 Each case (m, n) draws its samples from one RNG stream, `stream(seed, m, n)`.
 `sample_batch` takes the S points of a case in one standard_normal draw of
@@ -402,10 +407,6 @@ class FieldBatch:
     u: np.ndarray
     mu: np.ndarray
 
-    def within(self, other: FieldBatch, tol: float) -> np.ndarray:
-        """tangent_distance(self, other) <= tol for every (sample, field), shape (S, delta)."""
-        return _all_within(self.w - other.w, self.u - other.u, self.mu - other.mu, tol)
-
     def matrix(self) -> np.ndarray:
         """tangent_matrix for every sample, shape (S, delta, 2(n+1)+m+3)."""
         return np.concatenate(
@@ -415,7 +416,7 @@ class FieldBatch:
 
 
 def _all_within(dw: np.ndarray, du: np.ndarray, dmu: np.ndarray, tol: float) -> np.ndarray:
-    """Every |entry| of the slot differences <= tol, per (sample, field); NaN fails."""
+    """tangent_distance <= tol for every (sample, field) of the slot differences; NaN fails."""
     return (np.abs(dw) <= tol).all(axis=-1) & (np.abs(du) <= tol).all(axis=-1) & (np.abs(dmu) <= tol)
 
 
@@ -454,54 +455,37 @@ def tangency_residuals_batch(points: PointBatch, fields: FieldBatch) -> tuple[np
     )
 
 
-def involution_batch(kind: InvolutionKind, points: PointBatch) -> PointBatch:
-    """apply_involution at every point."""
-    if kind is InvolutionKind.SIGMA:
-        return PointBatch(np.conj(points.z), -points.v, points.lam)
-    v = points.v.copy()
-    v[:, -1] = -v[:, -1]
-    return PointBatch(points.z, v, -points.lam)
+def _act(g: InvolutionKind | complex, z: np.ndarray, v: np.ndarray, lam: np.ndarray) -> tuple:
+    """g on point arrays (z, v, lam) or, as its own differential, on tangent arrays (w, u, mu)."""
+    if g is InvolutionKind.SIGMA:
+        return np.conj(z), -v, lam
+    if g is InvolutionKind.TAU:
+        return z, np.concatenate((v[..., :-1], -v[..., -1:]), axis=-1), -lam
+    return g * z, v, lam
 
 
-def differential_batch(kind: InvolutionKind, fields: FieldBatch) -> FieldBatch:
-    """apply_differential for every (sample, field)."""
-    if kind is InvolutionKind.SIGMA:
-        return FieldBatch(np.conj(fields.w), -fields.u, fields.mu)
-    u = fields.u.copy()
-    u[..., -1] = -u[..., -1]
-    return FieldBatch(fields.w, u, -fields.mu)
-
-
-def quasi_invariance_signs(
-    kind: InvolutionKind, points: PointBatch, fields: FieldBatch, family: CliffordFamily
+def equivariance_signs(
+    g: InvolutionKind | complex, points: PointBatch, fields: FieldBatch, family: CliffordFamily
 ) -> np.ndarray:
-    """quasi_invariance_sign for every (sample, field), with 0 for no sign.
+    """The sign s with g(xi_j(P)) = s * xi_j(g(P)) for every (sample, field), 0 for none.
 
-    `fields` must be evaluate_batch(points, family); the fields are evaluated
-    again at the image points.
+    g is sigma or tau (within INVARIANCE_TOL) or a unit complex omega acting as
+    z -> omega z (within TANGENCY_TOL); `fields` must be evaluate_batch(points, family).
     """
-    pushed = differential_batch(kind, fields)
-    there = evaluate_batch(involution_batch(kind, points), family)
-    plus = pushed.within(there, INVARIANCE_TOL)
-    # pushed - (-there) is pushed + there exactly, so no negated copy is needed
-    minus = _all_within(pushed.w + there.w, pushed.u + there.u, pushed.mu + there.mu, INVARIANCE_TOL)
+    tol = INVARIANCE_TOL
+    if not isinstance(g, InvolutionKind):
+        g = complex(g)
+        tol = TANGENCY_TOL
+        if abs(abs(g) - 1.0) > POINT_TOL:
+            raise ValueError("omega must lie on the unit circle")
+    there = evaluate_batch(PointBatch(*_act(g, points.z, points.v, points.lam)), family)
+    w, u, mu = _act(g, fields.w, fields.u, fields.mu)
+    plus = _all_within(w - there.w, u - there.u, mu - there.mu, tol)
+    if plus.all():  # every root in a passing case: no second comparison
+        return plus.astype(np.intp)
+    # against -there: w - (-there.w) is w + there.w exactly, so no negated copy is needed
+    minus = _all_within(w + there.w, u + there.u, mu + there.mu, tol)
     return np.where(plus, 1, np.where(minus, -1, 0))
-
-
-def well_defined_batch(
-    points: PointBatch, fields: FieldBatch, family: CliffordFamily, omega: complex
-) -> np.ndarray:
-    """check_well_defined for every (sample, field), as a bool array (S, delta).
-
-    `fields` must be evaluate_batch(points, family); the fields are evaluated
-    again at omega * z.
-    """
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > POINT_TOL:
-        raise ValueError("omega must lie on the unit circle")
-    moved = evaluate_batch(PointBatch(omega * points.z, points.v, points.lam), family)
-    expected = FieldBatch(omega * fields.w, fields.u, fields.mu)
-    return moved.within(expected, TANGENCY_TOL)
 
 
 def svd_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -117,17 +117,11 @@ def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
     return {"totalSw": w.render(), "totalSwByDegree": by_degree}
 
 
-def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
-    """All four check categories for one (m, n); returns (record, timings)."""
-    params = WallParams(m, n)
-    family = family_for(n)
-    timings = CaseTimings()
-
-    # formula cross-checks
+def formula_record(params: WallParams) -> dict[str, Any]:
+    """The closed forms of Q(m, n) and the four formula cross-checks between them."""
     pspan = pspan_wall(params)
     fib = upper_bound_fibration(params)
-    sspan = sspan_cpn(n)
-    formula_checks = [
+    checks = [
         _check(
             "pspan_equals_fibration_bound",
             "2*nu(n+1) + m + 1 == sspan_cpn(n) + dim Q(m,0)",
@@ -142,9 +136,21 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
         _check(
             "stable_gap_is_even",
             "pspan(Q) - (m+1) == 2*nu(n+1) >= 0",
-            pspan - (m + 1) == 2 * params.nu >= 0,
+            pspan - (params.m + 1) == 2 * params.nu >= 0,
         ),
     ]
+    return {"pspan": pspan, "fibrationUpperBound": fib, "sspanCpn": sspan_cpn(params.n), "checks": checks}
+
+
+def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
+    """All four check categories for one (m, n); returns (record, timings)."""
+    params = WallParams(m, n)
+    family = family_for(n)
+    timings = CaseTimings()
+
+    # formula cross-checks
+    formulas = formula_record(params)
+    pspan = formulas["pspan"]
 
     # exact Clifford identities (depend on n only; cached)
     fam_report = family_report_for(n)
@@ -177,13 +183,12 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     timings.independence += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    signs = {kind: fl.quasi_invariance_signs(kind, points, base, family) for kind in kinds}
+    signs = {kind: fl.equivariance_signs(kind, points, base, family) for kind in kinds}
     timings.signs += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     well_defined_ok = all(
-        fl.well_defined_batch(points, base, family, omega).all()
-        for omega in EIGHTH_ROOTS
+        (fl.equivariance_signs(omega, points, base, family) == 1).all() for omega in EIGHTH_ROOTS
     )
     timings.well_defined += time.perf_counter() - t0
 
@@ -245,12 +250,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
         "dim": params.dim,
         "seed": config.seed,
         "configHash": config.config_hash(),
-        "formulas": {
-            "pspan": pspan,
-            "fibrationUpperBound": fib,
-            "sspanCpn": sspan,
-            "checks": formula_checks,
-        },
+        "formulas": formulas,
         "clifford": clifford_record,
         "signs": {"entries": sign_entries, "allPassed": signs_all_ok},
         "independence": {
@@ -271,7 +271,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     }
     record["passed"] = all(
         [
-            all(c["passed"] for c in formula_checks),
+            all(c["passed"] for c in formulas["checks"]),
             clifford_record["allPassed"],
             clifford_record["countOk"],
             signs_all_ok,

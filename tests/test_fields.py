@@ -17,15 +17,16 @@ from wallspan.fields import (
     InvolutionKind,
     PointBatch,
     TotalSpacePoint,
+    _all_within,
     apply_differential,
     apply_involution,
     check_well_defined,
+    equivariance_signs,
     evaluate_batch,
     evaluate_field,
     expected_quasi_sign,
     independence_report,
     quasi_invariance_sign,
-    quasi_invariance_signs,
     sample_batch,
     sample_point,
     stream,
@@ -35,7 +36,6 @@ from wallspan.fields import (
     tangency_residuals_batch,
     tangent_distance,
     tangent_matrix,
-    well_defined_batch,
     xi_high,
     xi_low,
 )
@@ -407,7 +407,12 @@ EIGHTH_ROOTS = [np.exp(2j * np.pi * k / 8) for k in range(8)]
 
 
 def _assert_engine_matches_reference(m, family):
-    """Every (sample, j) of every batched check equals the per-point function."""
+    """Every (sample, j) of every batched check equals the per-point function.
+
+    The reference spells out each differential on its own (apply_differential,
+    the omega scaling in check_well_defined), so this also checks that each map
+    is its own differential, which the engine assumes.
+    """
     n = family.n
     delta = family.count + m
     points = _points(m, n, ENGINE_SAMPLES)
@@ -417,8 +422,8 @@ def _assert_engine_matches_reference(m, family):
     assert fields.u.shape == (ENGINE_SAMPLES, delta, m + 1)
     assert fields.mu.shape == (ENGINE_SAMPLES, delta)
     residuals = tangency_residuals_batch(batch, fields)
-    signs = {kind: quasi_invariance_signs(kind, batch, fields, family) for kind in (SIGMA, TAU)}
-    roots = [well_defined_batch(batch, fields, family, omega) for omega in EIGHTH_ROOTS]
+    signs = {kind: equivariance_signs(kind, batch, fields, family) for kind in (SIGMA, TAU)}
+    roots = [equivariance_signs(omega, batch, fields, family) for omega in EIGHTH_ROOTS]
     mats = fields.matrix()
     ranks, rel = svd_ranks(mats)
     for s, p in enumerate(points):
@@ -435,8 +440,8 @@ def _assert_engine_matches_reference(m, family):
                 assert abs(residuals[slot][s, j - 1] - value) <= 1e-12
             for kind in (SIGMA, TAU):
                 assert signs[kind][s, j - 1] == (quasi_invariance_sign(j, kind, p, family) or 0)
-            for omega, ok in zip(EIGHTH_ROOTS, roots):
-                assert ok[s, j - 1] == check_well_defined(j, p, family, omega)
+            for omega, root_signs in zip(EIGHTH_ROOTS, roots):
+                assert (root_signs[s, j - 1] == 1) == check_well_defined(j, p, family, omega)
     return signs, roots
 
 
@@ -460,11 +465,31 @@ def test_batched_engine_rejects_mismatched_family():
         evaluate_batch(batch, build_family(1))
 
 
-def test_well_defined_batch_rejects_non_unit_omega():
+def test_equivariance_signs_rejects_non_unit_omega():
     batch = PointBatch.stack([_point(1, 1)])
     family = build_family(1)
     with pytest.raises(ValueError):
-        well_defined_batch(batch, evaluate_batch(batch, family), family, 2.0)
+        equivariance_signs(2.0, batch, evaluate_batch(batch, family), family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ENGINE_GRID), st.integers(0, 2**32 - 1), st.data())
+def test_negated_field_flips_only_its_sign(case, seed, data):
+    # -xi_j is as equivariant as xi_j with the opposite sign: under every root
+    # this takes the minus path, which a plus-only check would report as 0
+    m, n = case
+    family = build_family(n)
+    batch = sample_batch(n, m, seed, 3)
+    fields = evaluate_batch(batch, family)
+    j = data.draw(st.integers(0, family.count + m - 1), label="field index")
+    w, u, mu = fields.w.copy(), fields.u.copy(), fields.mu.copy()
+    w[:, j], u[:, j], mu[:, j] = -w[:, j], -u[:, j], -mu[:, j]
+    for g in (SIGMA, TAU, *EIGHTH_ROOTS):
+        expected = equivariance_signs(g, batch, fields, family)
+        assert (expected != 0).all()
+        assert isinstance(g, InvolutionKind) or (expected == 1).all()
+        expected[:, j] *= -1
+        assert np.array_equal(equivariance_signs(g, batch, FieldBatch(w, u, mu), family), expected), g
 
 
 def test_svd_ranks_zero_stack():
@@ -481,7 +506,7 @@ def test_svd_ranks_non_finite_matrix_is_rank_zero():
     assert rel[0] == 1.0 and np.isnan(rel[1:]).all()
 
 
-# -- FieldBatch.within against tangent_distance ----------------------------------
+# -- the engine's one comparison, _all_within, against tangent_distance -----------
 
 _EDGES = [
     TANGENCY_TOL,
@@ -512,12 +537,12 @@ def _draw_fields(data, entries, count, delta, size, sphere):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
-def test_within_matches_tangent_distance(data, count, delta, size, sphere):
+def test_all_within_matches_tangent_distance(data, count, delta, size, sphere):
     # entries at tol, one ulp above it, NaN and +-inf; delta = 1 is in range
     a = _draw_fields(data, _A_ENTRIES, count, delta, size, sphere)
     b = _draw_fields(data, _B_ENTRIES, count, delta, size, sphere)
     with np.errstate(invalid="ignore"):  # inf - inf
-        got = a.within(b, TANGENCY_TOL)
+        got = _all_within(a.w - b.w, a.u - b.u, a.mu - b.mu, TANGENCY_TOL)
         assert got.shape == (count, delta) and got.dtype == bool
         for s in range(count):
             for j in range(delta):
