@@ -205,7 +205,7 @@ def cmd_clifford(args: argparse.Namespace) -> int:
     ]
     if not report.all_passed:
         lines.append(f"failures: {[c.name for c in report.failures()]}")
-    if family.matrices[0].size <= 8:
+    if family.n + 1 <= 8:
         for j, mat in enumerate(family.matrices, start=1):
             lines.append(f"A_{j} =")
             lines.extend("  " + row for row in mat.pretty().splitlines())

@@ -28,9 +28,15 @@ a factor -i = i^3, so with xmask_j and zmask_j the bits of those letters
 for every row at once.  The masks lie below 2^nu, so the formula repeats A_j
 on each of the b blocks.  Under this identification componentwise
 conjugation on the factors is componentwise conjugation on C^(n+1), so the
-identities can be checked entrywise.  `verify_family` checks them on the
-stacked (2*nu + 1, n + 1) arrays with one gather per generator, O(nu * n)
-memory, never all pairs at once.
+identities can be checked entrywise.  `verify_family` reads each row's word
+back off the stacked (2*nu + 1, n + 1) arrays, x_j = perm_j[0], c_j =
+phase_j[0] and z_j from the rows 2^i, and confirms the form on every row in
+one O(nu * n) pass.  Then every identity is decided from the masks: A_j and
+A_k anticommute iff popcount(x_j & z_k) + popcount(x_k & z_j) is odd, A_j is
+skew-Hermitian iff c_j + popcount(x_j & z_j) is odd, and its entries are
+real (eps_j = +1) or imaginary (eps_j = -1) as c_j is even or odd.  A family
+with a row of any other form is checked by gathers, which name each failing
+pair.
 """
 
 from __future__ import annotations
@@ -209,6 +215,30 @@ class FamilyReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _pauli_words(family: CliffordFamily) -> tuple[list[int], list[int], list[int]] | None:
+    """The masks and constant phases (x_j, z_j, c_j) if every row is a Pauli word, else None.
+
+    Row j is a Pauli word when perm_j[r] = r XOR x_j and phase_j[r] = c_j +
+    2 * parity(r AND z_j) mod 4 for every row r.  Then x_j = perm_j[0],
+    c_j = phase_j[0] and bit i of z_j is read off row 2^i; two whole-array
+    comparisons confirm the form on every row.
+    """
+    perm, phase = family.perm, family.phase
+    rows = np.arange(family.n + 1)
+    powers = 1 << np.arange(family.n.bit_length())
+    x, c = perm[:, :1], phase[:, :1]
+    z = ((phase[:, powers] - c) % 4 // 2) @ powers
+    if not (perm == rows ^ x).all():
+        return None
+    # parity by xor-shift folding: after folding by 2^k the low 2^k bits hold it
+    bits = rows & z[:, None]
+    for k in reversed(range(max(family.n.bit_length() - 1, 0).bit_length())):
+        bits ^= bits >> (1 << k)
+    if not (phase == (c + 2 * (bits & 1)) % 4).all():
+        return None
+    return x[:, 0].tolist(), z.tolist(), c[:, 0].tolist()
+
+
 def verify_family(family: CliffordFamily) -> FamilyReport:
     """Exact verification of the three defining identities.
 
@@ -219,9 +249,43 @@ def verify_family(family: CliffordFamily) -> FamilyReport:
     (c) conj(A_j) = eps_j A_j entrywise, eps_j the predicted sign: every
         phase is even for eps_j = +1 (real entries) and odd for eps_j = -1.
 
-    (a) gathers A_j A_k = (perm[k][perm[j]], phase[j] + phase[k][perm[j]])
-    and A_k A_j for all k > j at once, (b) gathers the whole family; no array
-    is (count, count, n + 1).  Failures are report content, not exceptions.
+    When every row is a Pauli word (`_pauli_words`, one O(count * n) pass),
+    each identity is decided from the masks with a few int bit operations:
+    A_j A_k and A_k A_j both have permutation r ^ x_j ^ x_k and their phases
+    differ by 2 * (popcount(x_j & z_k) + popcount(x_k & z_j)) in every row,
+    so (a) holds iff that symplectic product is odd (the Pauli-group
+    commutation rule); perm is an involution and phase + phase[perm] =
+    2 * (c_j + popcount(x_j & z_j)) mod 4, so (b) holds iff
+    c_j + popcount(x_j & z_j) is odd; every phase has the parity of c_j, so
+    (c) holds iff c_j is odd exactly when eps_j = -1.  Any other family goes
+    to `_verify_by_gathers`, which names each failing pair.  Failures are
+    report content, not exceptions.
+    """
+    words = _pauli_words(family)
+    if words is None:
+        return _verify_by_gathers(family)
+    xs, zs, cs = words
+    checks = [
+        IdentityCheck(f"anticommute[{j + 1},{k}]", ((xj & z) ^ (x & zj)).bit_count() % 2 == 1)
+        for j, (xj, zj) in enumerate(zip(xs, zs))
+        for k, (x, z) in enumerate(zip(xs[j + 1 :], zs[j + 1 :]), j + 2)
+    ]
+    checks += (
+        IdentityCheck(f"skew_hermitian[{j}]", (c + (x & z).bit_count()) % 2 == 1)
+        for j, (x, z, c) in enumerate(zip(xs, zs, cs), 1)
+    )
+    checks += (
+        IdentityCheck(f"conjugation_sign[{j}]", (c % 2 == 1) == (sign == -1))
+        for j, (c, sign) in enumerate(zip(cs, family.predicted_signs), 1)
+    )
+    return FamilyReport(n=family.n, checks=tuple(checks))
+
+
+def _verify_by_gathers(family: CliffordFamily) -> FamilyReport:
+    """`verify_family` for any family: (a) gathers A_j A_k =
+    (perm[k][perm[j]], phase[j] + phase[k][perm[j]]) and A_k A_j for all
+    k > j at once, (b) gathers the whole family; no array is
+    (count, count, n + 1).
     """
     perm, phase, count = family.perm, family.phase, family.count
     checks: list[IdentityCheck] = []

@@ -4,7 +4,8 @@ Each generator is built the long way, as a chain of validated Kronecker
 products of the four 2x2 generators, then embedded block-diagonally; the
 report comes from the loop over every pair (j, k) with two `GaussMatrix`
 products each.  `build_family` and `verify_family` in `wallspan.clifford`
-(the Pauli-word rows and one gather per generator) must agree with them.
+(the Pauli-word rows, and verdicts read off the words' masks or, for other
+rows, gathers) must agree with them.
 """
 
 from dataclasses import replace

@@ -16,10 +16,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clifford_reference as ref
 from clifford_reference import generator_2x2, kronecker, spin_generator, tensor_power, with_matrices
-from wallspan.clifford import GaussMatrix, build_family, predicted_sign, verify_family
+from wallspan import clifford
+from wallspan.clifford import (
+    CliffordFamily,
+    GaussMatrix,
+    build_family,
+    predicted_sign,
+    verify_family,
+)
 from wallspan.invariants import nu
 
 N_GRID = range(17)
@@ -325,8 +334,9 @@ def test_verify_family_scales_to_4095():
 
 
 def test_verify_family_memory_peak():
-    # one gather per generator keeps the work O(count * n); broadcasting all
-    # pairs at once, (count, count, n + 1), read about 80 MB here
+    # reading the Pauli words, and the gathers for a family with a row of
+    # another form, keep the work O(count * n); broadcasting all pairs at
+    # once, (count, count, n + 1), read about 80 MB here
     verify_family(build_family(3))
     tracemalloc.start()
     try:
@@ -335,6 +345,17 @@ def test_verify_family_memory_peak():
     finally:
         tracemalloc.stop()
     assert report.all_passed and peak <= 8 * 2**20
+    family = build_family(4095)
+    phase = family.phase.copy()
+    phase[0, -1] += 2
+    broken = dataclasses.replace(family, phase=phase)
+    tracemalloc.start()
+    try:
+        report = verify_family(broken)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.failures() and peak <= 8 * 2**20
 
 
 # -- the Kronecker-chain oracle (tests/clifford_reference.py) -------------------
@@ -379,6 +400,64 @@ def test_verify_family_matches_pair_loop_reference(n):
         assert report == ref.verify_family(broken)
         # with one generator (n even) a flip, swap or self-duplicate can stay valid
         assert family.count == 1 or not report.all_passed
+
+
+def test_verify_family_reads_masks_unless_a_row_is_not_a_pauli_word(monkeypatch):
+    gathered = []
+    gathers = clifford._verify_by_gathers
+    monkeypatch.setattr(clifford, "_verify_by_gathers", lambda f: gathered.append(f) or gathers(f))
+    for n in [*N_GRID, 23, 63, 95, 127, 4095]:
+        assert verify_family(build_family(n)).all_passed, n
+    assert gathered == []
+    # of build_family(3)'s broken families (A_1 first), the phase flip on the
+    # last row and the perm swap leave the Pauli words; i * A_1, a duplicate
+    # and a flipped sign are still words, decided from the masks
+    family = build_family(3)
+    flip, _, swap, times_i, duplicate, sign = list(_broken_families(family))[:6]
+    cases = ((flip, True), (swap, True), (times_i, False), (duplicate, False), (sign, False))
+    for broken, by_gathers in cases:
+        gathered.clear()
+        assert not verify_family(broken).all_passed
+        assert gathered == ([broken] if by_gathers else [])
+
+
+@st.composite
+def pauli_families(draw):
+    """A family of random Pauli words on C^(n+1), n + 1 = 2^nu * b, and the same
+    family with one phase entry shifted or two perm entries swapped.
+
+    Row j is perm = r ^ x_j, phase = c_j + 2 popcount(r & z_j) mod 4, with
+    x_j < 2^nu so that r ^ x_j stays inside r's block of 2^nu rows.
+    """
+    v, b = draw(st.integers(0, 5)), draw(st.sampled_from((1, 3, 5)))
+    n = (b << v) - 1
+    count = draw(st.integers(1, 7))
+    rows = range(n + 1)
+    perm, phase = [], []
+    for _ in range(count):
+        x, z = draw(st.integers(0, 2**v - 1)), draw(st.integers(0, 2 ** n.bit_length() - 1))
+        c = draw(st.integers(0, 3))
+        perm.append([r ^ x for r in rows])
+        phase.append([(c + 2 * (r & z).bit_count()) % 4 for r in rows])
+    signs = tuple(draw(st.sampled_from((-1, 1))) for _ in range(count))
+    family = CliffordFamily(n, v, b, np.array(perm), np.array(phase), signs)
+    perm, phase = family.perm.copy(), family.phase.copy()
+    j, r = draw(st.integers(0, count - 1)), draw(st.integers(0, n))
+    if n > 0 and draw(st.booleans()):
+        s = draw(st.integers(0, n).filter(lambda s: s != r))
+        perm[j, [r, s]] = perm[j, [s, r]]
+    else:
+        phase[j, r] += draw(st.integers(1, 3))
+    return family, dataclasses.replace(family, perm=perm, phase=phase)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pauli_families())
+def test_verify_family_matches_pair_loop_on_random_pauli_words(families):
+    # random words commute as often as not, unlike build_family's, and a
+    # corrupted entry mostly leaves the Pauli words for the gather path
+    for family in families:
+        assert verify_family(family) == ref.verify_family(family)
 
 
 @pytest.mark.parametrize("n", N_GRID)
