@@ -37,6 +37,10 @@ skew-Hermitian iff c_j + popcount(x_j & z_j) is odd, and its entries are
 real (eps_j = +1) or imaginary (eps_j = -1) as c_j is even or odd.  A family
 with a row of any other form is checked by gathers, which name each failing
 pair.
+
+numpy is loaded on first numeric use (`_lazynp`): `import wallspan` binds it
+without running its code, so the `invariants` and `cohomology` commands,
+which never build a family, never load it.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._lazynp import lazy_numpy
 from .invariants import nu as nu_of
 
-UNITS = np.array([1, 1j, -1, -1j])  # i^phase
+np = lazy_numpy()
+
+UNITS = (1, 1j, -1, -1j)  # i^phase
 _UNIT_LABELS = ("1", "i", "-1", "-i")
 
 
@@ -96,7 +101,7 @@ class GaussMatrix:
         z = np.asarray(z, dtype=np.complex128)
         if z.shape != (self.size,):
             raise ValueError(f"vector length {z.shape} does not match matrix size {self.size}")
-        return UNITS[self.phase] * z[self.perm]
+        return np.array(UNITS)[self.phase] * z[self.perm]
 
     def entries(self) -> list[list[str]]:
         """Every entry as text, row by row: 0, 1, i, -1 or -i."""
@@ -173,7 +178,7 @@ class CliffordFamily:
     @cached_property
     def units(self) -> np.ndarray:
         """i^phase for every row, built on first use."""
-        return UNITS[self.phase]
+        return np.array(UNITS)[self.phase]
 
 
 def build_family(n: int) -> CliffordFamily:

@@ -79,11 +79,11 @@ class WallRing:
         return self.m + 1
 
     @cached_property
-    def _c_steps(self) -> tuple[int, list[tuple[int, int]]]:
-        """Slot 0 of every block to degree dim + 1, and (shift, keep) of times c^t, t <= m + 1."""
+    def _c_steps(self) -> tuple[int, list[tuple[int, int] | None]]:
+        """Slot 0 of every block to degree dim + 1, and room for (shift, keep) of times
+        c^t, t <= m + 1, each built on the first use of its t."""
         b = self.block
-        firsts = ((1 << (self.top_degree + 2) * b) - 1) // ((1 << b) - 1)
-        return firsts, [(t * (b + 1), ((1 << b) - (1 << t)) * firsts) for t in range(b + 1)]
+        return ((1 << (self.top_degree + 2) * b) - 1) // ((1 << b) - 1), [None] * (b + 1)
 
     @cached_property
     def _basis_bits(self) -> Pair:
@@ -99,10 +99,13 @@ class WallRing:
         Times c^t shifts by t (m+2) and keeps the slots i >= t of every block;
         what h0 wraps onto slot 0 is c^(m+1) = x c^m, one bit down in h1.
         """
-        (firsts, steps), top = self._c_steps, self.m + 1
+        (firsts, steps), b = self._c_steps, self.block
         for t in ts:
-            if t <= top:  # else c^t = 0
-                shift, keep = steps[t]
+            if t <= b:  # else c^t = 0
+                step = steps[t]
+                if step is None:
+                    step = steps[t] = t * (b + 1), ((1 << b) - (1 << t)) * firsts
+                shift, keep = step
                 s0 = h0 << shift
                 h0, h1 = h0 ^ s0 & keep, h1 ^ (h1 << shift) & keep ^ (s0 & firsts) >> 1
         return h0, h1

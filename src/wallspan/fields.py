@@ -66,6 +66,9 @@ as one stacked matmul (S, 1, k) @ (S, k, 1) on the same strided views of
 Re z, Im z and v: that gives the bytes of the per-row dots, while a batched sum
 of squares, or the same matmul on contiguous copies, rounds differently in the
 last bit.
+
+numpy is loaded on first numeric use, as in `clifford`: importing this
+module does not run numpy's code, and `invariants` and `cohomology` never do.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazynp import lazy_numpy
 from .clifford import CliffordFamily, predicted_sign
+
+np = lazy_numpy()
 
 POINT_TOL = 1e-12
 # The acceptance contract's pinned tolerances; no option or config field sets them.

@@ -1,8 +1,14 @@
-"""A fresh interpreter running wallspan must not import numpy.ma.
+"""What a fresh interpreter running wallspan executes of numpy.
+
+`clifford` and `fields` bind numpy lazily: its code runs on the first array
+operation, so `import wallspan`, the obstruction layer and the `invariants`
+and `cohomology` commands never execute it.  numpy's `__init__` imports
+`numpy.linalg` on both 1.x and 2.x, so `numpy.linalg` in `sys.modules` is
+the sign that numpy ran; `numpy` itself is in `sys.modules` either way.
 
 On numpy >= 2, `np.unique` imports `numpy.ma` lazily, which took 15-16 ms
 (`python -X importtime`, numpy 2.4, 2 cores) on every cold `wallspan` run;
-numpy 1.x imports it eagerly, and there the check is skipped.
+numpy 1.x imports it eagerly, and there that check is skipped.
 """
 
 import os
@@ -29,13 +35,65 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_wallspan_does_not_import_numpy_ma():
+def _run(script: str) -> str:
+    """stdout of `script` in a fresh interpreter that finds this wallspan."""
     src = str(Path(wallspan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     run = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    if run.stdout.strip() == "preloaded":
+    return run.stdout.strip()
+
+
+def test_wallspan_does_not_import_numpy_ma():
+    out = _run(SCRIPT)
+    if out == "preloaded":
         pytest.skip("this numpy imports numpy.ma eagerly")
-    assert run.stdout.strip() == "False"
+    assert out == "False"
+
+
+def _cli(*args: str) -> str:
+    return f"""
+import contextlib, io
+from wallspan import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({list(args)!r}) == 0
+"""
+
+
+NO_NUMPY = {
+    "import": "import wallspan",
+    "obstruction": """
+from wallspan import WallParams, sw_upper_bound, total_sw_wall
+for m, n in ((1, 2), (4, 5), (10, 24), (16, 255)):
+    total_sw_wall(WallParams(m, n))
+    sw_upper_bound(WallParams(m, n))
+""",
+    "invariants": _cli("invariants", "--m", "1", "--n", "2"),
+    "cohomology": _cli("cohomology", "--m", "4", "--n", "5"),
+}
+
+
+@pytest.mark.parametrize("script", NO_NUMPY.values(), ids=NO_NUMPY.keys())
+def test_numpy_never_executes(script):
+    assert _run(script + '\nimport sys\nprint("numpy.linalg" in sys.modules)') == "False"
+
+
+def test_array_work_executes_numpy():
+    script = """
+import sys, types
+from wallspan.clifford import build_family
+build_family(7)
+print("numpy.linalg" in sys.modules, type(sys.modules["numpy"]) is types.ModuleType)
+"""
+    assert _run(script) == "True True"
+
+
+def test_numpy_imported_first_is_the_one_wallspan_uses():
+    script = """
+import numpy
+import wallspan
+print(wallspan.clifford.np is numpy and wallspan.fields.np is numpy)
+"""
+    assert _run(script) == "True"

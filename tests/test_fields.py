@@ -1,12 +1,12 @@
 """Numerical field checks: tangency, signs, independence, representative freedom."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from clifford_reference import with_matrices
 from wallspan.clifford import build_family
@@ -508,44 +508,67 @@ def test_svd_ranks_non_finite_matrix_is_rank_zero():
 
 # -- the engine's one comparison, _all_within, against tangent_distance -----------
 
-_EDGES = [
-    TANGENCY_TOL,
-    -TANGENCY_TOL,
-    np.nextafter(TANGENCY_TOL, np.inf),
-    -np.nextafter(TANGENCY_TOL, np.inf),
-    np.nan,
-    np.inf,
-    -np.inf,
-]
-# mostly within tol, so that whole (sample, field) rows pass as well as fail;
-# b's entries keep a - b exact at the edges
-_A_ENTRIES = st.one_of(st.just(0.0), st.floats(-TANGENCY_TOL, TANGENCY_TOL), st.sampled_from(_EDGES))
-_B_ENTRIES = st.one_of(st.just(0.0), st.sampled_from([TANGENCY_TOL, np.nan, np.inf]))
+# a's edge values: zero, the tolerance, one ulp above it, NaN and +-inf; b's keep a - b
+# exact at the edges
+_A_EDGES = np.array([0.0, -0.0, TANGENCY_TOL, np.nextafter(TANGENCY_TOL, np.inf), np.nan, np.inf])
+_A_EDGES = np.concatenate([_A_EDGES, -_A_EDGES[2:]])
+_B_EDGES = np.array([0.0, TANGENCY_TOL, np.nan, np.inf])
+_SIZES = (1, 2, 3)  # count, delta, size and sphere; delta = 1 is in range
 
 
-def _draw_fields(data, entries, count, delta, size, sphere):
-    def real(shape):
-        return data.draw(hnp.arrays(np.float64, shape, elements=entries))
-
-    def cplx(shape):
-        out = real(shape).astype(np.complex128)  # not re + 1j*im, which turns inf into nan
-        out.imag = real(shape)
-        return out
-
-    return FieldBatch(cplx((count, delta, size)), real((count, delta, sphere)), cplx((count, delta)))
+def _tangents(x, size):
+    """(w, u, mu) from real entries laid out per (sample, field) as Re w_0, Im w_0,
+    ..., Re w_size-1, Im w_size-1, Re mu, Im mu, u (the complex parts by view:
+    re + 1j*im would turn inf into nan)."""
+    c = np.ascontiguousarray(x[..., : 2 * size + 2]).view(np.complex128)
+    return c[..., :size], x[..., 2 * size + 2 :], c[..., size]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
-def test_all_within_matches_tangent_distance(data, count, delta, size, sphere):
-    # entries at tol, one ulp above it, NaN and +-inf; delta = 1 is in range
-    a = _draw_fields(data, _A_ENTRIES, count, delta, size, sphere)
-    b = _draw_fields(data, _B_ENTRIES, count, delta, size, sphere)
+def _all_within_entries(a, b, size):
     with np.errstate(invalid="ignore"):  # inf - inf
-        got = _all_within(a.w - b.w, a.u - b.u, a.mu - b.mu, TANGENCY_TOL)
-        assert got.shape == (count, delta) and got.dtype == bool
-        for s in range(count):
-            for j in range(delta):
-                ta = AmbientTangent(a.w[s, j], a.u[s, j], a.mu[s, j])
-                tb = AmbientTangent(b.w[s, j], b.u[s, j], b.mu[s, j])
-                assert got[s, j] == (tangent_distance(ta, tb) <= TANGENCY_TOL), (s, j)
+        (aw, au, amu), (bw, bu, bmu) = _tangents(a, size), _tangents(b, size)
+        return _all_within(aw - bw, au - bu, amu - bmu, TANGENCY_TOL)
+
+
+def _distance_within(a, b, size):
+    """tangent_distance <= tol for one (sample, field) of entries a and b."""
+    with np.errstate(invalid="ignore"):
+        ta, tb = AmbientTangent(*_tangents(a, size)), AmbientTangent(*_tangents(b, size))
+        return tangent_distance(ta, tb) <= TANGENCY_TOL
+
+
+def test_all_within_matches_tangent_distance():
+    # every (a, b) edge pair alone in every slot of every shape: _all_within decides
+    # each (sample, field) by its own entries, so the rest of the batch stays zero
+    pairs = [(x, y) for x in _A_EDGES for y in _B_EDGES]
+    for size, sphere in itertools.product(_SIZES, repeat=2):
+        width = 2 * size + sphere + 2
+        cells = np.zeros((2, len(pairs) * width, width))  # a and b, one edge entry per row
+        for row, ((x, y), slot) in enumerate(itertools.product(pairs, range(width))):
+            cells[:, row, slot] = x, y
+        want_cell = [_distance_within(a, b, size) for a, b in zip(*cells)]
+        assert not all(want_cell) and any(want_cell)
+        for count, delta in itertools.product(_SIZES, repeat=2):
+            at = list(itertools.product(range(count), range(delta)))
+            entries = np.zeros((2, len(at), len(cells[0]), count, delta, width))
+            want = np.ones((len(at), len(cells[0]), count, delta), dtype=bool)
+            for k, (s, j) in enumerate(at):
+                entries[:, k, :, s, j] = cells
+                want[k, :, s, j] = want_cell
+            got = _all_within_entries(*entries, size)
+            assert got.dtype == bool and np.array_equal(got, want), (count, delta, size, sphere)
+    # a seeded fill of every shape: a and b uniform within tol, so that whole
+    # (sample, field) rows pass as well as fail, then with a quarter of the entries
+    # set to edge values
+    rng = np.random.default_rng(2024)
+    for count, delta, size, sphere in list(itertools.product(_SIZES, repeat=4)) * 4:
+        shape = (count, delta, 2 * size + sphere + 2)
+        a, b = rng.uniform(-TANGENCY_TOL, TANGENCY_TOL, (2, *shape))
+        for edged in (False, True):
+            if edged:
+                a = np.where(rng.random(shape) < 0.25, rng.choice(_A_EDGES, shape), a)
+                b = np.where(rng.random(shape) < 0.25, rng.choice(_B_EDGES, shape), b)
+            got = _all_within_entries(a, b, size)
+            assert got.shape == (count, delta) and got.dtype == bool
+            for s, j in itertools.product(range(count), range(delta)):
+                assert got[s, j] == _distance_within(a[s, j], b[s, j], size), (shape, s, j)
