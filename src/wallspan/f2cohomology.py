@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, Iterator
 
 from .invariants import WallParams
@@ -240,12 +240,17 @@ class MultisetWitness:
     failure_degree: int | None
 
     def describe(self) -> str:
-        labels = [lab for lab, count in zip(H1_LABELS, self.counts) for _ in range(count)]
-        return "{" + ", ".join(labels) + "}"
+        return _describe(self.counts)  # memoised: reports list the same multisets case after case
 
     def to_json_dict(self) -> dict[str, Any]:
         counts, failure = list(self.counts), self.failure_degree
         return {"multiset": self.describe(), "counts": counts, "failureDegree": failure}
+
+
+@lru_cache(maxsize=4096)  # a default campaign lists 575 distinct multisets
+def _describe(counts: tuple[int, int, int, int]) -> str:
+    labels = [lab for lab, count in zip(H1_LABELS, counts) for _ in range(count)]
+    return "{" + ", ".join(labels) + "}"
 
 
 @dataclass(frozen=True)

@@ -43,16 +43,22 @@ scaling in `check_well_defined`), so the tests check dg = g instead of
 assuming it.  The batched engine (`sample_batch`, `evaluate_batch`,
 `equivariance_signs`, `tangency_residuals_batch`, `svd_ranks`) evaluates all
 delta fields at all S samples of a case into preallocated arrays
-w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta).  `equivariance_signs`
-applies g along the last axis of (z, v, lambda) and of (w, u, mu), evaluates
-the fields afresh at g(P) and compares with `_all_within`, which is
-`tangent_distance <= tol` per (sample, field) and fails on NaN.  The
-tolerance comes with g (INVARIANCE_TOL for sigma and tau, TANGENCY_TOL for
-the roots), and the minus sign is sought only when some entry fails the plus
-check.  The images and the 8 roots are evaluated one call each: stacking them
-saved little and raised a case's traced peak memory from about 1 MB to 2.6 MB
-or more.  A sample whose tangent matrix is not finite has rank 0 and never
-enters the SVD.  The tests hold the engine to the reference within 1e-12.
+w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta).  These, and a batch's
+z and v, are views of arrays stored samples last, (delta, ., S) and (., S):
+their inner axes hold 1 to 9 entries, so each ufunc and `.all(axis=-1)` would
+loop over rows that short and per-call overhead would dominate; samples last,
+each runs over S-long contiguous rows.  einsum sums in memory order, so
+`tangency_residuals_batch` takes u.v on C-ordered copies, which keeps the
+reported residual bytes.  `equivariance_signs` applies g along the last axis
+of (z, v, lambda) and of (w, u, mu), evaluates the fields afresh at g(P) and
+compares with `_all_within`, which is `tangent_distance <= tol` per (sample,
+field) and fails on NaN.  The tolerance comes with g (INVARIANCE_TOL for sigma
+and tau, TANGENCY_TOL for the roots), and the minus sign is sought only when
+some entry fails the plus check.  The images and the 8 roots are evaluated one
+call each: a (4, 7) case's traced peak is 0.86 MiB, and stacking them saved
+little and raised it to 2.6 MB or more.  A sample whose tangent matrix is not
+finite has rank 0 and never enters the SVD.  The tests hold the engine to the
+reference within 1e-12.
 
 Each case (m, n) draws its samples from one RNG stream, `stream(seed, m, n)`.
 `sample_batch` takes the S points of a case in one standard_normal draw of
@@ -398,7 +404,7 @@ def sample_batch(n: int, m: int, seed: int, count: int) -> PointBatch:
     r = np.hypot(a, b)
     lam = (a / r).astype(np.complex128)
     lam.imag = b / r
-    points = PointBatch(z, v, lam)
+    points = PointBatch(z.T.copy().T, v.T.copy().T, lam)  # samples last, see the module docstring
     points.check_unit()
     return points
 
@@ -432,9 +438,9 @@ def evaluate_batch(points: PointBatch, family: CliffordFamily) -> FieldBatch:
         raise ValueError(f"family is for n = {family.n}, points have n = {size - 1}")
     low = family.count
     delta = low + v.shape[1] - 1
-    w = np.zeros((count, delta, size), dtype=np.complex128)  # high fields: w = 0
-    u = np.empty((count, delta, v.shape[1]))
-    mu = np.empty((count, delta), dtype=np.complex128)
+    w = np.zeros((delta, size, count), dtype=np.complex128).transpose(2, 0, 1)  # high fields: w = 0
+    u = np.empty((delta, v.shape[1], count)).transpose(2, 0, 1)  # samples last, see the module docstring
+    mu = np.empty((delta, count), dtype=np.complex128).T
 
     az = np.multiply(family.units, z[:, family.perm], out=w[:, :low])  # A_j z at every sample
     b = np.einsum("sja,sa->sj", az.conj(), z)  # beta_j(z)
@@ -454,7 +460,7 @@ def tangency_residuals_batch(points: PointBatch, fields: FieldBatch) -> tuple[np
     """tangency_residuals for every (sample, field): three arrays of shape (S, delta)."""
     return (
         np.abs(np.einsum("sja,sa->sj", fields.w.conj(), points.z)),
-        np.abs(np.einsum("sja,sa->sj", fields.u, points.v)),
+        np.abs(np.einsum("sja,sa->sj", np.ascontiguousarray(fields.u), np.ascontiguousarray(points.v))),
         np.abs((points.lam[:, None] * fields.mu.conj()).real),
     )
 

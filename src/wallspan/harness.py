@@ -16,12 +16,13 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Any
 
 from . import fields as fl
 from .clifford import CliffordFamily, FamilyReport, build_family, verify_family
-from .f2cohomology import GradedF2Poly, VirtualSwSearch
+from .f2cohomology import GradedF2Poly, VirtualSwSearch, render_monomial
 from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 1
@@ -70,6 +71,10 @@ class CampaignConfig:
         }
 
     def config_hash(self) -> str:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:  # once per config: every record of a campaign carries it
         canonical = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -112,9 +117,11 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
-    """The `totalSw` and `totalSwByDegree` entries of a report for the class w."""
-    by_degree = [{"degree": q, "value": w.component(q).render()} for q in w.degrees()]
-    return {"totalSw": w.render(), "totalSwByDegree": by_degree}
+    """The `totalSw` and `totalSwByDegree` entries of a report for the class w:
+    w.render() and each w.component(q).render(), from one sorted pass over w.monos."""
+    groups = groupby(sorted((e + i + 2 * j, (e, i, j)) for e, i, j in w.monos), key=lambda t: t[0])
+    by_degree = [{"degree": q, "value": " + ".join(render_monomial(mo) for _, mo in g)} for q, g in groups]
+    return {"totalSw": " + ".join(d["value"] for d in by_degree) or "0", "totalSwByDegree": by_degree}
 
 
 def formula_record(params: WallParams) -> dict[str, Any]:

@@ -39,6 +39,7 @@ from wallspan.fields import (
     xi_high,
     xi_low,
 )
+from wallspan.harness import CampaignConfig
 
 SIGMA, TAU = InvolutionKind.SIGMA, InvolutionKind.TAU
 
@@ -490,6 +491,39 @@ def test_negated_field_flips_only_its_sign(case, seed, data):
         assert isinstance(g, InvolutionKind) or (expected == 1).all()
         expected[:, j] *= -1
         assert np.array_equal(equivariance_signs(g, batch, FieldBatch(w, u, mu), family), expected), g
+
+
+def test_batch_arrays_are_stored_samples_last():
+    # public (S, ...) shapes over storage whose sample axis is the last, contiguous one
+    for m, n in ENGINE_GRID:
+        points = sample_batch(n, m, 42, 7)
+        fields = evaluate_batch(points, build_family(n))
+        delta = fields.mu.shape[1]
+        shapes = {
+            "z": (points.z, (7, n + 1)),
+            "v": (points.v, (7, m + 1)),
+            "w": (fields.w, (7, delta, n + 1)),
+            "u": (fields.u, (7, delta, m + 1)),
+            "mu": (fields.mu, (7, delta)),
+        }
+        for name, (array, shape) in shapes.items():
+            assert array.shape == shape, (m, n, name)
+            assert array.strides[0] == array.itemsize, (m, n, name)
+
+
+def test_tangency_residuals_independent_of_memory_layout():
+    # einsum sums in memory order: on the samples-last arrays the u.v residual
+    # differs from the C-ordered one in its last bits unless the engine copies
+    config = CampaignConfig()
+    for m, n in itertools.product(config.m_values, config.n_values):
+        points = sample_batch(n, m, config.seed, config.samples_per_case)
+        fields = evaluate_batch(points, build_family(n))
+        c_points = PointBatch(*map(np.ascontiguousarray, (points.z, points.v, points.lam)))
+        c_fields = FieldBatch(*map(np.ascontiguousarray, (fields.w, fields.u, fields.mu)))
+        got = tangency_residuals_batch(points, fields)
+        expected = tangency_residuals_batch(c_points, c_fields)
+        for slot, (a, b) in enumerate(zip(got, expected)):
+            assert a.tobytes() == b.tobytes(), (m, n, slot)
 
 
 def test_svd_ranks_zero_stack():

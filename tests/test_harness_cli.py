@@ -1,6 +1,7 @@
 """Campaign assembly, report determinism and the CLI surface."""
 
 import hashlib
+import itertools
 import json
 import tracemalloc
 from functools import partial
@@ -19,6 +20,7 @@ from wallspan.harness import (
     run_campaign,
     run_case,
 )
+from wallspan.invariants import WallParams
 
 SMALL = CampaignConfig(m_values=(1, 2), n_values=(0, 1), samples_per_case=5, seed=7)
 
@@ -238,6 +240,26 @@ def test_cli_cohomology_golden(capsys, m, n, fmt):
     assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == COHOMOLOGY_SHA256[m, n, fmt]
+
+
+def test_total_sw_json_matches_per_degree_render():
+    # the one-pass serialisation against the per-degree form it replaced
+    for m, n in itertools.product(range(1, 9), range(17)):
+        w = f2cohomology.total_sw_wall(WallParams(m, n))
+        for c in (w, w.ring.zero(), w.ring.one(), w + w.ring.gen("x") * w):
+            by_degree = [{"degree": q, "value": c.component(q).render()} for q in c.degrees()]
+            assert harness.total_sw_json(c) == {"totalSw": c.render(), "totalSwByDegree": by_degree}, (m, n)
+
+
+def test_memoised_describe_matches_label_join():
+    config = CampaignConfig()
+    for m, n in itertools.product(config.m_values, config.n_values):
+        for last in f2cohomology.VirtualSwSearch(WallParams(m, n)).scan():
+            pass
+        for witness in last.witnesses:
+            labels = [[label] * count for label, count in zip(("0", "x", "c", "x+c"), witness.counts)]
+            expected = "{" + ", ".join(sum(labels, [])) + "}"
+            assert witness.describe() == witness.describe() == expected, (m, n, witness)
 
 
 def test_cli_clifford(capsys):
