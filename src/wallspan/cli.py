@@ -21,10 +21,10 @@ from .clifford import build_family, verify_family
 from .f2cohomology import VirtualSwSearch
 from .harness import (
     DEFAULT_SEED,
-    SCHEMA_VERSION,
     CampaignConfig,
     formula_record,
     render_campaign_text,
+    report_envelope,
     report_to_json,
     run_campaign,
     total_sw_json,
@@ -89,9 +89,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if p.m % 2 == 0 and p.n % 2 == 0 and p.n > 0:
         note = f"m, n both even: span(Q) = 1 < pspan(Q) = {pspan} = m+1"
     obj: dict[str, Any] = {
-        "schemaVersion": SCHEMA_VERSION,
-        "tool": "wallspan",
-        "kind": "invariants",
+        **report_envelope("invariants"),
         "m": p.m,
         "n": p.n,
         "nu": p.nu,
@@ -144,9 +142,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     bound_ok = last.bound >= pspan
 
     obj: dict[str, Any] = {
-        "schemaVersion": SCHEMA_VERSION,
-        "tool": "wallspan",
-        "kind": "cohomology",
+        **report_envelope("cohomology"),
         "m": p.m,
         "n": p.n,
         "dim": p.dim,
@@ -176,14 +172,10 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def cmd_clifford(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise UsageError(f"need n >= 0, got {args.n}")
-    family = build_family(args.n)
+    family = validated(build_family, args.n)
     report = verify_family(family)
     obj: dict[str, Any] = {
-        "schemaVersion": SCHEMA_VERSION,
-        "tool": "wallspan",
-        "kind": "clifford",
+        **report_envelope("clifford"),
         "n": family.n,
         "nu": family.nu,
         "b": family.b,
@@ -229,9 +221,7 @@ def cmd_fields(args: argparse.Namespace) -> int:
 def cmd_accept(args: argparse.Namespace) -> int:
     result = run_acceptance(validated(CampaignConfig, seed=args.seed))
     obj = {
-        "schemaVersion": SCHEMA_VERSION,
-        "tool": "wallspan",
-        "kind": "acceptance",
+        **report_envelope("acceptance"),
         "seed": args.seed,
         "configHash": result.campaign.report["configHash"],
         "criteria": [

@@ -29,14 +29,9 @@ for every row at once.  The masks lie below 2^nu, so the formula repeats A_j
 on each of the b blocks.  Under this identification componentwise
 conjugation on the factors is componentwise conjugation on C^(n+1), so the
 identities can be checked entrywise.  `verify_family` reads each row's word
-back off the stacked (2*nu + 1, n + 1) arrays, x_j = perm_j[0], c_j =
-phase_j[0] and z_j from the rows 2^i, and confirms the form on every row in
-one O(nu * n) pass.  Then every identity is decided from the masks: A_j and
-A_k anticommute iff popcount(x_j & z_k) + popcount(x_k & z_j) is odd, A_j is
-skew-Hermitian iff c_j + popcount(x_j & z_j) is odd, and its entries are
-real (eps_j = +1) or imaginary (eps_j = -1) as c_j is even or odd.  A family
-with a row of any other form is checked by gathers, which name each failing
-pair.
+back off the stacked (2*nu + 1, n + 1) arrays in one O(nu * n) pass and
+decides every identity from the words' masks; a family with a row of any
+other form is checked by gathers.
 
 numpy is loaded on first numeric use (`_lazynp`): `import wallspan` binds it
 without running its code, so the `invariants` and `cohomology` commands,
@@ -46,7 +41,8 @@ which never build a family, never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 
 from ._lazynp import lazy_numpy
 from .invariants import nu as nu_of
@@ -55,6 +51,16 @@ np = lazy_numpy()
 
 UNITS = (1, 1j, -1, -1j)  # i^phase
 _UNIT_LABELS = ("1", "i", "-1", "-i")
+
+
+def _check_permutations(perm: np.ndarray, what: str) -> None:
+    """Raise unless every row of the 2-d `perm` is a permutation of 0..size - 1."""
+    size = perm.shape[1]
+    # offset row r by r * size, then each value once
+    in_range = ((perm >= 0) & (perm < size)).all()
+    offset = perm + size * np.arange(len(perm))[:, None]
+    if not (in_range and (np.bincount(offset.ravel(), minlength=perm.size) == 1).all()):
+        raise ValueError(f"{what} is not a permutation of 0..{size - 1}")
 
 
 class GaussMatrix:
@@ -67,34 +73,15 @@ class GaussMatrix:
         phase = np.array(phase, dtype=np.int64) % 4
         if perm.ndim != 1 or perm.shape != phase.shape:
             raise ValueError(f"need 1-d perm and phase alike, got {perm.shape}, {phase.shape}")
-        if not np.array_equal(np.bincount(perm, minlength=perm.size), np.ones(perm.size)):
-            raise ValueError(f"perm is not a permutation of 0..{perm.size - 1}")
+        _check_permutations(perm[None], "perm")
         perm.setflags(write=False)
         phase.setflags(write=False)
         self.perm = perm
         self.phase = phase
 
-    @classmethod
-    def identity(cls, size: int) -> GaussMatrix:
-        return cls(np.arange(size), np.zeros(size))
-
     @property
     def size(self) -> int:
         return self.perm.size
-
-    def __matmul__(self, other: GaussMatrix) -> GaussMatrix:
-        return GaussMatrix(other.perm[self.perm], self.phase + other.phase[self.perm])
-
-    def times_i(self) -> GaussMatrix:
-        """Multiply every entry by i."""
-        return GaussMatrix(self.perm, self.phase + 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaussMatrix):
-            return NotImplemented
-        return np.array_equal(self.perm, other.perm) and np.array_equal(self.phase, other.phase)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The matrix acting on a complex vector."""
@@ -158,11 +145,7 @@ class CliffordFamily:
         if perm.ndim != 2 or perm.shape != phase.shape or perm.shape[1] != size:
             shapes = f"{perm.shape}, {phase.shape}"
             raise ValueError(f"need perm, phase of shape (count, {size}), got {shapes}")
-        # every row a permutation of 0..n: offset row r by r (n + 1), then each value once
-        in_range = ((perm >= 0) & (perm < size)).all()
-        offset = perm + size * np.arange(len(perm))[:, None]
-        if not (in_range and (np.bincount(offset.ravel(), minlength=perm.size) == 1).all()):
-            raise ValueError(f"a row of perm is not a permutation of 0..{self.n}")
+        _check_permutations(perm, "a row of perm")
         for name, value in (("perm", perm), ("phase", phase)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -201,6 +184,9 @@ def build_family(n: int) -> CliffordFamily:
     return CliffordFamily(n, v, (n + 1) >> v, perm, phase, signs)
 
 
+_Verdicts = tuple[list[bool], list[bool], list[bool]]  # anticommute, skew, conjugation
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
@@ -220,13 +206,41 @@ class FamilyReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _pauli_words(family: CliffordFamily) -> tuple[list[int], list[int], list[int]] | None:
-    """The masks and constant phases (x_j, z_j, c_j) if every row is a Pauli word, else None.
+def verify_family(family: CliffordFamily) -> FamilyReport:
+    """Exact verification of the three defining identities.
+
+    (a) A_j A_k + A_k A_j = 0 for j != k: both products have the same
+        permutation and their phases differ by 2 in every row;
+    (b) A_j + A_j^* = 0 (conjugate transpose): perm is an involution and
+        i^phase[r] = -conj(i^phase[perm[r]]), i.e. phase = 2 - phase[perm] mod 4;
+    (c) conj(A_j) = eps_j A_j entrywise, eps_j the predicted sign: every
+        phase is even for eps_j = +1 (real entries) and odd for eps_j = -1.
+
+    `_verify_by_words` decides them from the masks when every row is a Pauli
+    word; any other family goes to `_verify_by_gathers`.  Both give the
+    verdicts (a) for pairs j < k, then (b), then (c), which are named here
+    in that order.  Failures are report content, not exceptions.
+    """
+    verdicts = _verify_by_words(family) or _verify_by_gathers(family)
+    checks = map(IdentityCheck, _check_names(family.count), chain(*verdicts))
+    return FamilyReport(n=family.n, checks=tuple(checks))
+
+
+def _verify_by_words(family: CliffordFamily) -> _Verdicts | None:
+    """`verify_family`'s verdicts if every row is a Pauli word, else None.
 
     Row j is a Pauli word when perm_j[r] = r XOR x_j and phase_j[r] = c_j +
     2 * parity(r AND z_j) mod 4 for every row r.  Then x_j = perm_j[0],
     c_j = phase_j[0] and bit i of z_j is read off row 2^i; two whole-array
-    comparisons confirm the form on every row.
+    comparisons confirm the form on every row, one O(count * n) pass.  Then
+    each identity takes a few int bit operations: A_j A_k and A_k A_j both
+    have permutation r ^ x_j ^ x_k and their phases differ by
+    2 * (popcount(x_j & z_k) + popcount(x_k & z_j)) in every row, so (a)
+    holds iff that symplectic product is odd (the Pauli-group commutation
+    rule); perm is an involution and phase + phase[perm] =
+    2 * (c_j + popcount(x_j & z_j)) mod 4, so (b) holds iff
+    c_j + popcount(x_j & z_j) is odd; every phase has the parity of c_j, so
+    (c) holds iff c_j is odd exactly when eps_j = -1.
     """
     perm, phase = family.perm, family.phase
     rows = np.arange(family.n + 1)
@@ -241,72 +255,40 @@ def _pauli_words(family: CliffordFamily) -> tuple[list[int], list[int], list[int
         bits ^= bits >> (1 << k)
     if not (phase == (c + 2 * (bits & 1)) % 4).all():
         return None
-    return x[:, 0].tolist(), z.tolist(), c[:, 0].tolist()
-
-
-def verify_family(family: CliffordFamily) -> FamilyReport:
-    """Exact verification of the three defining identities.
-
-    (a) A_j A_k + A_k A_j = 0 for j != k: both products have the same
-        permutation and their phases differ by 2 in every row;
-    (b) A_j + A_j^* = 0 (conjugate transpose): perm is an involution and
-        i^phase[r] = -conj(i^phase[perm[r]]), i.e. phase = 2 - phase[perm] mod 4;
-    (c) conj(A_j) = eps_j A_j entrywise, eps_j the predicted sign: every
-        phase is even for eps_j = +1 (real entries) and odd for eps_j = -1.
-
-    When every row is a Pauli word (`_pauli_words`, one O(count * n) pass),
-    each identity is decided from the masks with a few int bit operations:
-    A_j A_k and A_k A_j both have permutation r ^ x_j ^ x_k and their phases
-    differ by 2 * (popcount(x_j & z_k) + popcount(x_k & z_j)) in every row,
-    so (a) holds iff that symplectic product is odd (the Pauli-group
-    commutation rule); perm is an involution and phase + phase[perm] =
-    2 * (c_j + popcount(x_j & z_j)) mod 4, so (b) holds iff
-    c_j + popcount(x_j & z_j) is odd; every phase has the parity of c_j, so
-    (c) holds iff c_j is odd exactly when eps_j = -1.  Any other family goes
-    to `_verify_by_gathers`, which names each failing pair.  Failures are
-    report content, not exceptions.
-    """
-    words = _pauli_words(family)
-    if words is None:
-        return _verify_by_gathers(family)
-    xs, zs, cs = words
-    checks = [
-        IdentityCheck(f"anticommute[{j + 1},{k}]", ((xj & z) ^ (x & zj)).bit_count() % 2 == 1)
+    xs, zs, cs = x[:, 0].tolist(), z.tolist(), c[:, 0].tolist()
+    anticommute = [
+        ((xj & zk) ^ (xk & zj)).bit_count() % 2 == 1
         for j, (xj, zj) in enumerate(zip(xs, zs))
-        for k, (x, z) in enumerate(zip(xs[j + 1 :], zs[j + 1 :]), j + 2)
+        for xk, zk in zip(xs[j + 1 :], zs[j + 1 :])
     ]
-    checks += (
-        IdentityCheck(f"skew_hermitian[{j}]", (c + (x & z).bit_count()) % 2 == 1)
-        for j, (x, z, c) in enumerate(zip(xs, zs, cs), 1)
-    )
-    checks += (
-        IdentityCheck(f"conjugation_sign[{j}]", (c % 2 == 1) == (sign == -1))
-        for j, (c, sign) in enumerate(zip(cs, family.predicted_signs), 1)
-    )
-    return FamilyReport(n=family.n, checks=tuple(checks))
+    skew = [(cj + (xj & zj).bit_count()) % 2 == 1 for xj, zj, cj in zip(xs, zs, cs)]
+    return anticommute, skew, [cj % 2 == (eps == -1) for cj, eps in zip(cs, family.predicted_signs)]
 
 
-def _verify_by_gathers(family: CliffordFamily) -> FamilyReport:
-    """`verify_family` for any family: (a) gathers A_j A_k =
+@cache
+def _check_names(count: int) -> tuple[str, ...]:
+    """The names of a report on `count` generators, in report order."""
+    gens = range(1, count + 1)
+    pairs = [f"anticommute[{j},{k}]" for j in gens for k in gens[j:]]
+    return (*pairs, *(f"{name}[{j}]" for name in ("skew_hermitian", "conjugation_sign") for j in gens))
+
+
+def _verify_by_gathers(family: CliffordFamily) -> _Verdicts:
+    """`verify_family`'s verdicts for any family: (a) gathers A_j A_k =
     (perm[k][perm[j]], phase[j] + phase[k][perm[j]]) and A_k A_j for all
     k > j at once, (b) gathers the whole family; no array is
     (count, count, n + 1).
     """
-    perm, phase, count = family.perm, family.phase, family.count
-    checks: list[IdentityCheck] = []
-    for j in range(count - 1):
+    perm, phase = family.perm, family.phase
+    anticommute: list[bool] = []
+    for j in range(family.count - 1):
         pj, hj, later = perm[j], phase[j], perm[j + 1 :]
         same_perm = (perm[j + 1 :, pj] == pj[later]).all(axis=1)
         jk_minus_kj = hj + phase[j + 1 :, pj] - phase[j + 1 :] - hj[later]
-        ok = same_perm & (jk_minus_kj % 4 == 2).all(axis=1)
-        pairs = enumerate(ok.tolist(), j + 2)
-        checks += (IdentityCheck(f"anticommute[{j + 1},{k}]", p) for k, p in pairs)
+        anticommute += (same_perm & (jk_minus_kj % 4 == 2).all(axis=1)).tolist()
     back = np.take_along_axis(perm, perm, axis=1)
     skew = (back == np.arange(family.n + 1)).all(axis=1) & (
         phase == (2 - np.take_along_axis(phase, perm, axis=1)) % 4
     ).all(axis=1)
-    checks += (IdentityCheck(f"skew_hermitian[{j}]", p) for j, p in enumerate(skew.tolist(), 1))
     odd = np.array(family.predicted_signs)[:, None] == -1
-    conj = (phase % 2 == odd).all(axis=1)
-    checks += (IdentityCheck(f"conjugation_sign[{j}]", p) for j, p in enumerate(conj.tolist(), 1))
-    return FamilyReport(n=family.n, checks=tuple(checks))
+    return anticommute, skew.tolist(), (phase % 2 == odd).all(axis=1).tolist()

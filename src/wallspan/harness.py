@@ -313,9 +313,7 @@ def run_campaign(config: CampaignConfig | None = None) -> CampaignResult:
             total.add(timings)
     failing = [f"({c['m']},{c['n']})" for c in cases if not c["passed"]]
     report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "tool": "wallspan",
-        "kind": "verification-campaign",
+        **report_envelope("verification-campaign"),
         "seed": config.seed,
         "configHash": config.config_hash(),
         "config": config.to_json_dict(),
@@ -327,6 +325,11 @@ def run_campaign(config: CampaignConfig | None = None) -> CampaignResult:
         },
     }
     return CampaignResult(report=report, timings=total)
+
+
+def report_envelope(kind: str) -> dict[str, Any]:
+    """The keys that open every JSON report: schemaVersion, tool and kind."""
+    return {"schemaVersion": SCHEMA_VERSION, "tool": "wallspan", "kind": kind}
 
 
 def report_to_json(report: dict[str, Any]) -> str:

@@ -2,10 +2,11 @@
 
 Each generator is built the long way, as a chain of validated Kronecker
 products of the four 2x2 generators, then embedded block-diagonally; the
-report comes from the loop over every pair (j, k) with two `GaussMatrix`
-products each.  `build_family` and `verify_family` in `wallspan.clifford`
-(the Pauli-word rows, and verdicts read off the words' masks or, for other
-rows, gathers) must agree with them.
+report comes from the loop over every pair (j, k) with two products each,
+gathered from the rows' `(perm, phase)` arrays by `gather`.  `build_family`
+and `verify_family` in `wallspan.clifford` (the Pauli-word rows, and
+verdicts read off the words' masks or, for other rows, gathers) must agree
+with them.
 """
 
 from dataclasses import replace
@@ -14,6 +15,24 @@ import numpy as np
 
 from wallspan.clifford import CliffordFamily, FamilyReport, GaussMatrix, IdentityCheck
 from wallspan.invariants import nu as nu_of
+
+
+def identity(size: int) -> GaussMatrix:
+    return GaussMatrix(np.arange(size), np.zeros(size, dtype=np.int64))
+
+
+def times_i(a: GaussMatrix) -> GaussMatrix:
+    """Every entry multiplied by i."""
+    return GaussMatrix(a.perm, a.phase + 1)
+
+
+def gather(perm_a, phase_a, perm_b, phase_b):
+    """(perm, phase) of the product AB: row r of A picks row perm_a[r] of B."""
+    return perm_b[perm_a], (phase_a + phase_b[perm_a]) % 4
+
+
+def product(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
+    return GaussMatrix(*gather(a.perm, a.phase, b.perm, b.phase))
 
 
 def kronecker(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
@@ -26,7 +45,7 @@ def kronecker(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
 
 def tensor_power(a: GaussMatrix, k: int) -> GaussMatrix:
     """k-fold Kronecker power; the empty product is the 1x1 identity."""
-    result = GaussMatrix.identity(1)
+    result = identity(1)
     for _ in range(k):
         result = kronecker(result, a)
     return result
@@ -63,7 +82,7 @@ def spin_generator(j: int, nu: int) -> GaussMatrix:
         raise ValueError(f"need 1 <= j <= {2 * nu + 1}, got j = {j}")
     t_mat = generator_2x2("T")
     if j == 2 * nu + 1:
-        return tensor_power(t_mat, nu).times_i()
+        return times_i(tensor_power(t_mat, nu))
     t = (j - 1) // 2
     g = generator_2x2("g1" if j % 2 == 1 else "g2")
     left = tensor_power(generator_2x2("E"), nu - 1 - t)
@@ -90,7 +109,7 @@ def build_family(n: int) -> CliffordFamily:
     """The family from b-fold block diagonals E_b (x) A of the spin generators."""
     v = nu_of(n + 1)
     b = (n + 1) >> v
-    blocks = GaussMatrix.identity(b)
+    blocks = identity(b)
     matrices = [kronecker(blocks, spin_generator(j, v)) for j in range(1, 2 * v + 2)]
     signs = tuple(conjugation_sign(j, v) for j in range(1, 2 * v + 2))
     perm, phase = (np.stack([getattr(a, key) for a in matrices]) for key in ("perm", "phase"))
@@ -98,20 +117,20 @@ def build_family(n: int) -> CliffordFamily:
 
 
 def verify_family(family: CliffordFamily) -> FamilyReport:
-    """The three identities, one pair and one matrix at a time."""
-    mats = family.matrices
+    """The three identities, one pair and one row at a time."""
+    rows = list(zip(family.perm, family.phase))
     checks: list[IdentityCheck] = []
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            jk, kj = mats[j] @ mats[k], mats[k] @ mats[j]
-            ok = np.array_equal(jk.perm, kj.perm) and bool(np.all((jk.phase - kj.phase) % 4 == 2))
+    for j in range(len(rows)):
+        for k in range(j + 1, len(rows)):
+            jk, kj = gather(*rows[j], *rows[k]), gather(*rows[k], *rows[j])
+            ok = np.array_equal(jk[0], kj[0]) and bool(np.all((jk[1] - kj[1]) % 4 == 2))
             checks.append(IdentityCheck(f"anticommute[{j + 1},{k + 1}]", ok))
-    for j, a in enumerate(mats):
-        ok = np.array_equal(a.perm[a.perm], np.arange(a.size)) and np.array_equal(
-            a.phase, (2 - a.phase[a.perm]) % 4
+    for j, (perm, phase) in enumerate(rows):
+        ok = np.array_equal(perm[perm], np.arange(perm.size)) and np.array_equal(
+            phase, (2 - phase[perm]) % 4
         )
         checks.append(IdentityCheck(f"skew_hermitian[{j + 1}]", ok))
-    for j, (a, sign) in enumerate(zip(mats, family.predicted_signs)):
-        ok = bool(np.all(a.phase % 2 == (sign == -1)))
+    for j, ((_, phase), sign) in enumerate(zip(rows, family.predicted_signs)):
+        ok = bool(np.all(phase % 2 == (sign == -1)))
         checks.append(IdentityCheck(f"conjugation_sign[{j + 1}]", ok))
     return FamilyReport(n=family.n, checks=tuple(checks))

@@ -20,7 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clifford_reference as ref
-from clifford_reference import generator_2x2, kronecker, spin_generator, tensor_power, with_matrices
+from clifford_reference import (
+    generator_2x2,
+    identity,
+    kronecker,
+    product,
+    spin_generator,
+    tensor_power,
+    times_i,
+    with_matrices,
+)
 from wallspan import clifford
 from wallspan.clifford import (
     CliffordFamily,
@@ -76,6 +85,10 @@ def dense_family(n: int) -> list[np.ndarray]:
     return out
 
 
+def same(a: GaussMatrix, b: GaussMatrix) -> bool:
+    return np.array_equal(a.perm, b.perm) and np.array_equal(a.phase, b.phase)
+
+
 def random_monomial(rng, size: int) -> GaussMatrix:
     return GaussMatrix(rng.permutation(size), rng.integers(0, 4, size))
 
@@ -91,7 +104,7 @@ def test_family_matches_dense_oracle(n):
         assert np.array_equal(a.apply(z), d @ z)
     for a in family.matrices[:3]:
         for b in family.matrices:
-            assert np.array_equal(dense(a @ b), dense(a) @ dense(b))
+            assert np.array_equal(dense(product(a, b)), dense(a) @ dense(b))
 
 
 def test_monomial_products_match_dense():
@@ -99,10 +112,10 @@ def test_monomial_products_match_dense():
     for size in (1, 2, 3, 7):
         for _ in range(5):
             a, b, c = (random_monomial(rng, size) for _ in range(3))
-            assert np.array_equal(dense(a @ b), dense(a) @ dense(b))
-            assert (a @ b) @ c == a @ (b @ c)
-            assert a @ GaussMatrix.identity(size) == a == GaussMatrix.identity(size) @ a
-            assert np.array_equal(dense(a.times_i()), 1j * dense(a))
+            assert np.array_equal(dense(product(a, b)), dense(a) @ dense(b))
+            assert same(product(product(a, b), c), product(a, product(b, c)))
+            assert same(product(a, identity(size)), a) and same(product(identity(size), a), a)
+            assert np.array_equal(dense(times_i(a)), 1j * dense(a))
 
 
 # -- Pauli words and the symplectic form ----------------------------------------
@@ -161,12 +174,12 @@ def test_symplectic_form_decides_commutation_of_products(v):
     for _ in range(40):
         elems = []
         for _ in range(2):
-            a, x, z = GaussMatrix.identity(2**v), np.zeros(v, int), np.zeros(v, int)
+            a, x, z = identity(2**v), np.zeros(v, int), np.zeros(v, int)
             for i in np.flatnonzero(rng.random(len(mats)) < 0.5):
-                a, x, z = a @ mats[i], x ^ words[i][0], z ^ words[i][1]
+                a, x, z = product(a, mats[i]), x ^ words[i][0], z ^ words[i][1]
             elems.append((a, (x, z)))
         (a, p), (b, q) = elems
-        ab, ba = dense(a @ b), dense(b @ a)
+        ab, ba = dense(product(a, b)), dense(product(b, a))
         anticommute = np.array_equal(ab, -ba)
         assert anticommute or np.array_equal(ab, ba)
         assert anticommute == (symplectic(p, q) == 1)
@@ -184,7 +197,7 @@ def test_generator_matrices_literal():
 
 def test_generator_t_squares_to_identity():
     t = generator_2x2("T")
-    assert t @ t == GaussMatrix.identity(2)
+    assert same(product(t, t), identity(2))
 
 
 def test_generator_unknown_name():
@@ -194,7 +207,7 @@ def test_generator_unknown_name():
 
 def test_kronecker_identities():
     e = generator_2x2("E")
-    assert kronecker(e, e) == GaussMatrix.identity(4)
+    assert same(kronecker(e, e), identity(4))
     g1e = dense(kronecker(generator_2x2("g1"), e))
     assert np.array_equal(g1e, np.diag([1j, 1j, -1j, -1j]))
 
@@ -203,19 +216,19 @@ def test_kronecker_associative_on_random_matrices():
     rng = np.random.default_rng(3)
     for _ in range(5):
         a, b, c = (random_monomial(rng, size) for size in (2, 3, 2))
-        assert kronecker(a, kronecker(b, c)) == kronecker(kronecker(a, b), c)
+        assert same(kronecker(a, kronecker(b, c)), kronecker(kronecker(a, b), c))
         assert np.array_equal(dense(kronecker(a, b)), np.kron(dense(a), dense(b)))
 
 
 def test_spin_generator_nu1():
-    assert spin_generator(1, 1) == generator_2x2("g1")
-    assert spin_generator(2, 1) == generator_2x2("g2")
-    assert spin_generator(3, 1) == generator_2x2("T").times_i()
+    assert same(spin_generator(1, 1), generator_2x2("g1"))
+    assert same(spin_generator(2, 1), generator_2x2("g2"))
+    assert same(spin_generator(3, 1), times_i(generator_2x2("T")))
 
 
 def test_spin_generator_nu2_j4():
     # alpha(4) = 2, floor(3/2) = 1, no leading identity factors
-    assert spin_generator(4, 2) == kronecker(generator_2x2("g2"), generator_2x2("T"))
+    assert same(spin_generator(4, 2), kronecker(generator_2x2("g2"), generator_2x2("T")))
 
 
 def test_spin_generator_nu0():
@@ -235,13 +248,13 @@ def test_spin_generator_range_errors():
 def test_build_family_small_cases():
     f1 = build_family(1)
     assert f1.count == 3 and f1.b == 1
-    assert f1.matrices[0] == generator_2x2("g1")
-    assert f1.matrices[1] == generator_2x2("g2")
-    assert f1.matrices[2] == generator_2x2("T").times_i()
+    assert same(f1.matrices[0], generator_2x2("g1"))
+    assert same(f1.matrices[1], generator_2x2("g2"))
+    assert same(f1.matrices[2], times_i(generator_2x2("T")))
 
     f2 = build_family(2)
     assert f2.count == 1 and f2.nu == 0 and f2.b == 3
-    assert f2.matrices[0] == GaussMatrix.identity(3).times_i()
+    assert same(f2.matrices[0], times_i(identity(3)))
 
     f0 = build_family(0)
     assert f0.count == 1 and np.array_equal(dense(f0.matrices[0]), [[1j]])
@@ -368,7 +381,7 @@ def test_build_family_matches_kronecker_reference():
         assert np.array_equal(family.perm, expected.perm), n
         assert np.array_equal(family.phase, expected.phase), n
         assert family.predicted_signs == expected.predicted_signs, n
-        assert all(a == b for a, b in zip(family.matrices, expected.matrices)), n
+        assert all(same(a, b) for a, b in zip(family.matrices, expected.matrices)), n
 
 
 def _broken_families(family):
@@ -384,7 +397,7 @@ def _broken_families(family):
             perm = a.perm.copy()
             perm[[0, 2]] = perm[[2, 0]]
             yield _mutated(family, j, perm=perm)
-        yield with_matrices(family, mats[: j - 1] + (a.times_i(),) + mats[j:])
+        yield with_matrices(family, mats[: j - 1] + (times_i(a),) + mats[j:])
         yield with_matrices(family, mats[: j - 1] + (mats[j % count],) + mats[j:])
         signs = list(family.predicted_signs)
         signs[j - 1] = -signs[j - 1]
@@ -464,7 +477,7 @@ def test_verify_family_matches_pair_loop_on_random_pauli_words(families):
 def test_squares_are_minus_identity(n):
     minus_id = GaussMatrix(np.arange(n + 1), np.full(n + 1, 2))
     for a in build_family(n).matrices:
-        assert a @ a == minus_id
+        assert same(product(a, a), minus_id)
 
 
 # -- beta_j(z) = <z, A_j z> = (A_j z)^* z, the form the low fields use --------
@@ -521,17 +534,17 @@ def test_gauss_matrix_validation():
         GaussMatrix([0, 0], [0, 0])  # not a permutation
     with pytest.raises(ValueError):
         GaussMatrix([1, 2], [0, 0])  # out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
         GaussMatrix([-1, 0], [0, 0])
     with pytest.raises(ValueError):
         GaussMatrix([0, 1], [0])
     with pytest.raises(ValueError):
         GaussMatrix([[0]], [[0]])
-    assert GaussMatrix([1, 0], [5, -1]) == GaussMatrix([1, 0], [1, 3])  # phases mod 4
+    assert GaussMatrix([1, 0], [5, -1]).phase.tolist() == [1, 3]  # phases mod 4
 
 
 def test_gauss_matrix_pretty():
-    it = generator_2x2("T").times_i()
+    it = times_i(generator_2x2("T"))
     assert it.entries() == [["0", "1"], ["-1", "0"]]
     g1 = generator_2x2("g1")
     assert g1.entries() == [["i", "0"], ["0", "-i"]]
@@ -539,4 +552,4 @@ def test_gauss_matrix_pretty():
 
 
 def test_tensor_power_empty_is_identity():
-    assert tensor_power(generator_2x2("T"), 0) == GaussMatrix.identity(1)
+    assert same(tensor_power(generator_2x2("T"), 0), identity(1))

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from clifford_reference import with_matrices
+from clifford_reference import times_i, with_matrices
 from wallspan import cli, f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family, verify_family
@@ -111,7 +111,7 @@ def test_duplicated_matrix_fails_rank(monkeypatch):
 
 def test_hermitian_matrix_fails_sigma_sign(monkeypatch):
     a = build_family(1).matrices
-    _use_family(monkeypatch, 1, (a[0].times_i(), a[1], a[2]))
+    _use_family(monkeypatch, 1, (times_i(a[0]), a[1], a[2]))
     record, _ = run_case(2, 1, SMALL)
     assert not record["signs"]["allPassed"]
     bad = [(e["j"], e["kind"]) for e in record["signs"]["entries"] if not e["passed"]]
@@ -240,6 +240,27 @@ def test_cli_cohomology_golden(capsys, m, n, fmt):
     assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == COHOMOLOGY_SHA256[m, n, fmt]
+
+
+# the same contract for `wallspan clifford` and `wallspan invariants`, whose
+# reports share the envelope with `cohomology`; (2, 2) carries the even note
+REPORT_SHA256 = {
+    ("clifford --n 1", "text"): "b22940c1b9514204454e196604d8fd4f0afdcdfef4e6a219819f392c856fd856",
+    ("clifford --n 1", "json"): "62384952d6092b549c01a7cc17109b9de8a63ac16279b4e063798c586684191d",
+    ("clifford --n 7", "text"): "a40149b67aa76cab1616d332a2239051e38527cad4dea61779a5e50acac660c1",
+    ("clifford --n 7", "json"): "974f2adac2a9687099c682d1061b3bb6d2f3532d93e3c068e0457e15ea439396",
+    ("invariants --m 2 --n 2", "text"): "83f48db6752e0f322da981532a0c85a03c1e4db1dc0b75d43efc381c63b328aa",
+    ("invariants --m 2 --n 2", "json"): "a21af8af47196d4c8fbe9486dcc271382fe5b1e1efdc7aea2aa8b827c47ca382",
+    ("invariants --m 1 --n 3", "text"): "e0ac49d941056bf5acb7f27e943fd1e1a55dc9f1104c9aae16248d1cb5efdfbd",
+    ("invariants --m 1 --n 3", "json"): "a40371db83215c375dc188ee39711b5cbe2edd8d5dd1e4cf44eb152adeeaaccc",
+}
+
+
+@pytest.mark.parametrize("args,fmt", sorted(REPORT_SHA256))
+def test_cli_report_golden(capsys, args, fmt):
+    assert main([*args.split(), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[args, fmt]
 
 
 def test_total_sw_json_matches_per_degree_render():
@@ -424,6 +445,11 @@ def test_cli_usage_errors_exit_2(capsys):
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_clifford_rejects_negative_n(capsys):
+    assert main(["clifford", "--n", "-3"]) == 2
+    assert capsys.readouterr().err == "error: need n >= 0, got -3\n"
 
 
 def test_cli_rejects_zero_samples(capsys):
