@@ -87,7 +87,7 @@ def criterion_clifford_exact() -> CriterionResult:
             continue
         report = verify_family(family)
         if not report.all_passed:
-            failures.append(f"n={n}: {[c.name for c in report.failures()]}")
+            failures.append(f"n={n}: {report.failures()}")
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < CLIFFORD_BUDGET_S
     details = (

@@ -196,7 +196,7 @@ def cmd_clifford(args: argparse.Namespace) -> int:
         f"identities: {sum(c.passed for c in report.checks)}/{len(report.checks)} passed",
     ]
     if not report.all_passed:
-        lines.append(f"failures: {[c.name for c in report.failures()]}")
+        lines.append(f"failures: {report.failures()}")
     if family.n + 1 <= 8:
         for j, mat in enumerate(family.matrices, start=1):
             lines.append(f"A_{j} =")

@@ -202,8 +202,8 @@ class FamilyReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> tuple[IdentityCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+    def failures(self) -> list[str]:
+        return [c.name for c in self.checks if not c.passed]
 
 
 def verify_family(family: CliffordFamily) -> FamilyReport:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Any, Callable, Iterable, Iterator
 
 from .invariants import WallParams
@@ -194,9 +195,13 @@ class GradedF2Poly:
     def degrees(self) -> tuple[int, ...]:
         return tuple(dict.fromkeys(pos // self.ring.block for pos in _bits(self.h0 | self.h1)))
 
+    def render_by_degree(self) -> list[tuple[int, str]]:
+        """(q, the degree-q piece rendered) for each nonzero q: monomials sorted by degree, then exponents."""
+        ordered = groupby(sorted((e + i + 2 * j, (e, i, j)) for e, i, j in self.monos), key=lambda t: t[0])
+        return [(q, " + ".join(render_monomial(mo) for _, mo in group)) for q, group in ordered]
+
     def render(self) -> str:
-        ordered = sorted(self.monos, key=lambda mo: (mo[0] + mo[1] + 2 * mo[2], mo))
-        return " + ".join(map(render_monomial, ordered)) or "0"
+        return " + ".join(piece for _, piece in self.render_by_degree()) or "0"
 
     def __repr__(self) -> str:
         return f"GradedF2Poly({self.render()})"

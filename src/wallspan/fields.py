@@ -36,7 +36,7 @@ of C^(n+1) x R^(m+1) x C that preserves the total space, so dg = g: one map
 moves the points and pushes the fields forward.
 
 It does so twice.  The per-point functions (`sample_point`, `evaluate_field`,
-`quasi_invariance_sign`, `check_well_defined`, `independence_report`, ...)
+`quasi_invariance_sign`, `check_well_defined`, `svd_rank`, ...)
 are the reference implementation, one point and one field at a time; they
 spell out each differential on its own (`apply_differential`, the omega
 scaling in `check_well_defined`), so the tests check dg = g instead of
@@ -327,25 +327,6 @@ def svd_rank(mat: np.ndarray) -> tuple[int, float]:
     return int(np.sum(sv > RANK_REL_TOL * top)), float(sv[-1] / top)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    rank: int
-    delta: int
-    min_relative_sv: float
-
-    @property
-    def full_rank(self) -> bool:
-        return self.rank == self.delta
-
-
-def independence_report(p: TotalSpacePoint, family: CliffordFamily) -> IndependenceReport:
-    """Rank of the full field family at p, certified by singular values."""
-    delta = 2 * family.nu + 1 + p.m
-    mat = tangent_matrix([evaluate_field(j, p, family) for j in range(1, delta + 1)])
-    rank, min_rel = svd_rank(mat)
-    return IndependenceReport(rank=rank, delta=delta, min_relative_sv=min_rel)
-
-
 # -- batched engine ------------------------------------------------------------
 #
 # Each check evaluates the fields afresh at the moved or involuted points;
@@ -360,14 +341,6 @@ class PointBatch:
     z: np.ndarray
     v: np.ndarray
     lam: np.ndarray
-
-    @classmethod
-    def stack(cls, points: list[TotalSpacePoint]) -> PointBatch:
-        return cls(
-            np.stack([p.z for p in points]),
-            np.stack([p.v for p in points]),
-            np.array([p.lam for p in points], dtype=np.complex128),
-        )
 
     def check_unit(self) -> None:
         """TotalSpacePoint's unit checks at every sample, within POINT_TOL.

@@ -17,13 +17,12 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
 from typing import Any
 
 from . import fields as fl
-from .clifford import CliffordFamily, FamilyReport, build_family, verify_family
-from .f2cohomology import GradedF2Poly, VirtualSwSearch, render_monomial
-from .invariants import WallParams, pspan_wall, sspan_cpn, upper_bound_fibration
+from .clifford import CliffordFamily, build_family, verify_family
+from .f2cohomology import GradedF2Poly, VirtualSwSearch
+from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -79,20 +78,31 @@ class CampaignConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@lru_cache(maxsize=None)
-def family_for(n: int) -> CliffordFamily:
-    return build_family(n)
+def clifford_section(family: CliffordFamily) -> dict[str, Any]:
+    """A case record's `clifford` section: the family's exact identities and its count."""
+    report = verify_family(family)
+    expected = 2 * nu(family.n + 1) + 1
+    return {
+        "matrixCount": family.count,
+        "expectedCount": expected,
+        "countOk": family.count == expected,
+        "identitiesTotal": len(report.checks),
+        "identitiesPassed": sum(1 for c in report.checks if c.passed),
+        "allPassed": report.all_passed,
+        "failures": report.failures(),
+        "claim": "A_j A_k = -A_k A_j; A_j* = -A_j; conj(A_j) = eps_j A_j (exact)",
+    }
 
 
 @lru_cache(maxsize=None)
-def family_report_for(n: int) -> FamilyReport:
-    return verify_family(family_for(n))
+def clifford_for(n: int) -> tuple[CliffordFamily, dict[str, Any]]:
+    """The family of n and its `clifford` section, built and verified once; records copy the section."""
+    family = build_family(n)
+    return family, clifford_section(family)
 
 
-def _check(name: str, claim: str, passed: bool, **extra: Any) -> dict[str, Any]:
-    entry: dict[str, Any] = {"name": name, "claim": claim, "passed": bool(passed)}
-    entry.update(extra)
-    return entry
+def _check(name: str, claim: str, passed: bool) -> dict[str, Any]:
+    return {"name": name, "claim": claim, "passed": bool(passed)}
 
 
 @dataclass
@@ -118,9 +128,8 @@ def _finite_or_none(x: float) -> float | None:
 
 def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
     """The `totalSw` and `totalSwByDegree` entries of a report for the class w:
-    w.render() and each w.component(q).render(), from one sorted pass over w.monos."""
-    groups = groupby(sorted((e + i + 2 * j, (e, i, j)) for e, i, j in w.monos), key=lambda t: t[0])
-    by_degree = [{"degree": q, "value": " + ".join(render_monomial(mo) for _, mo in g)} for q, g in groups]
+    w.render() and each w.component(q).render(), from one w.render_by_degree()."""
+    by_degree = [{"degree": q, "value": piece} for q, piece in w.render_by_degree()]
     return {"totalSw": " + ".join(d["value"] for d in by_degree) or "0", "totalSwByDegree": by_degree}
 
 
@@ -152,25 +161,13 @@ def formula_record(params: WallParams) -> dict[str, Any]:
 def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
     """All four check categories for one (m, n); returns (record, timings)."""
     params = WallParams(m, n)
-    family = family_for(n)
+    family, clifford = clifford_for(n)
+    clifford_record = {**clifford, "failures": list(clifford["failures"])}  # no list shared between records
     timings = CaseTimings()
 
     # formula cross-checks
     formulas = formula_record(params)
     pspan = formulas["pspan"]
-
-    # exact Clifford identities (depend on n only; cached)
-    fam_report = family_report_for(n)
-    clifford_record = {
-        "matrixCount": family.count,
-        "expectedCount": 2 * params.nu + 1,
-        "countOk": family.count == 2 * params.nu + 1,
-        "identitiesTotal": len(fam_report.checks),
-        "identitiesPassed": sum(1 for c in fam_report.checks if c.passed),
-        "allPassed": fam_report.all_passed,
-        "failures": [c.name for c in fam_report.failures()],
-        "claim": "A_j A_k = -A_k A_j; A_j* = -A_j; conj(A_j) = eps_j A_j (exact)",
-    }
 
     # sampled numerical checks, batched over the samples of the case
     delta = params.delta

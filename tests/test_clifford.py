@@ -302,7 +302,7 @@ def test_predicted_sign_against_entrywise_conjugation():
 @pytest.mark.parametrize("n", N_GRID)
 def test_verify_family_all_pass(n):
     report = verify_family(build_family(n))
-    assert report.all_passed, [c.name for c in report.failures()]
+    assert report.all_passed, report.failures()
 
 
 def _mutated(family, j, perm=None, phase=None):
@@ -319,8 +319,8 @@ def test_verify_family_detects_mutation():
     family = build_family(3)
     phase = family.matrices[0].phase.copy()
     phase[0] = (phase[0] + 2) % 4
-    failures = {c.name for c in verify_family(_mutated(family, 1, phase=phase)).failures()}
-    assert failures == {f"anticommute[1,{k}]" for k in range(2, family.count + 1)}
+    failures = verify_family(_mutated(family, 1, phase=phase)).failures()
+    assert failures == [f"anticommute[1,{k}]" for k in range(2, family.count + 1)]  # in report order
 
 
 def test_verify_family_detects_perm_swap():
@@ -329,7 +329,7 @@ def test_verify_family_detects_perm_swap():
     family = build_family(3)
     perm = family.matrices[1].perm.copy()
     perm[[0, 2]] = perm[[2, 0]]
-    failures = {c.name for c in verify_family(_mutated(family, 2, perm=perm)).failures()}
+    failures = set(verify_family(_mutated(family, 2, perm=perm)).failures())
     assert "skew_hermitian[2]" in failures
     assert not any(name.startswith("conjugation_sign") for name in failures)
 

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from clifford_reference import times_i, with_matrices
 from wallspan import cli, f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
-from wallspan.clifford import build_family, verify_family
+from wallspan.clifford import build_family
 from wallspan.harness import (
     CampaignConfig,
     render_campaign_text,
@@ -77,11 +77,47 @@ def test_campaign_grid_complete_and_deterministic():
 def _use_family(monkeypatch, n, matrices):
     # replaces the campaign's family at this n only; other n keep the real one
     family = with_matrices(build_family(n), matrices)
-    family_for, report_for = harness.family_for, harness.family_report_for
-    monkeypatch.setattr(harness, "family_for", lambda k: family if k == n else family_for(k))
-    monkeypatch.setattr(
-        harness, "family_report_for", lambda k: verify_family(family) if k == n else report_for(k)
-    )
+    broken = (family, harness.clifford_section(family))
+    clifford_for = harness.clifford_for
+    monkeypatch.setattr(harness, "clifford_for", lambda k: broken if k == n else clifford_for(k))
+
+
+# the `clifford` section of every case at n = 0, 1, 3, as the per-case assembly gave it
+CLAIM = "A_j A_k = -A_k A_j; A_j* = -A_j; conj(A_j) = eps_j A_j (exact)"
+CLIFFORD_SECTIONS = {
+    n: {
+        "matrixCount": count,
+        "expectedCount": count,
+        "countOk": True,
+        "identitiesTotal": total,
+        "identitiesPassed": total,
+        "allPassed": True,
+        "failures": [],
+        "claim": CLAIM,
+    }
+    for n, count, total in ((0, 1, 2), (1, 3, 9), (3, 5, 20))
+}
+
+
+def test_clifford_section_built_once_per_n(monkeypatch):
+    # a fresh cache, so the counts do not depend on what earlier tests built
+    calls = {"build": [], "verify": []}
+    build, verify = harness.build_family, harness.verify_family
+    monkeypatch.setattr(harness, "build_family", lambda n: calls["build"].append(n) or build(n))
+    monkeypatch.setattr(harness, "verify_family", lambda f: calls["verify"].append(f.n) or verify(f))
+    monkeypatch.setattr(harness, "clifford_for", lru_cache(maxsize=None)(harness.clifford_for.__wrapped__))
+    config = CampaignConfig(m_values=(1, 2), n_values=(0, 1, 3), samples_per_case=5, seed=7)
+    result = run_campaign(config)
+    assert calls == {"build": [0, 1, 3], "verify": [0, 1, 3]}
+    assert [c["clifford"] for c in result.report["cases"]] == [CLIFFORD_SECTIONS[n] for n in (0, 1, 3)] * 2
+
+    # a record's section is its own copy: changing it reaches neither the cache nor another record
+    expected = report_to_json(result.report)
+    section = result.report["cases"][0]["clifford"]
+    section["failures"].append("anticommute[1,2]")
+    section["allPassed"] = False
+    assert report_to_json(run_campaign(config).report) == expected
+    assert calls == {"build": [0, 1, 3], "verify": [0, 1, 3]}
 
 
 def test_run_case_builds_total_class_once(monkeypatch):
@@ -261,6 +297,32 @@ def test_cli_report_golden(capsys, args, fmt):
     assert main([*args.split(), "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[args, fmt]
+
+
+# sha256 of `wallspan fields --seed S --format json` on the default grid, taken
+# with the five float statistics removed: a numpy or BLAS version may move
+# their last bits, while every sign, rank, flag, w(Q), witness and hash stays
+FIELDS_SHA256 = {
+    42: "900ebd94ffdb751ee756870a5906cb56efe6c9af18044f628730ef6407cb5b6e",
+    7919: "b0467ee2b362c2554f40467755bbdc853c197e0ba24e7dad58382adc86b4dcf2",
+}
+FLOAT_STATS = {
+    "independence": ("minOfMinRelativeSv", "maxOfMinRelativeSv"),
+    "tangency": ("maxResidualZW", "maxResidualVU", "maxResidualLambdaMu"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIELDS_SHA256))
+def test_cli_fields_golden(capsys, seed):
+    assert main(["fields", "--seed", str(seed), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report_to_json(report) == out
+    for case in report["cases"]:
+        for section, keys in FLOAT_STATS.items():
+            for key in keys:
+                del case[section][key]
+    assert hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest() == FIELDS_SHA256[seed]
 
 
 def test_total_sw_json_matches_per_degree_render():
