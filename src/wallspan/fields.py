@@ -417,14 +417,18 @@ def evaluate_batch(points: PointBatch, family: CliffordFamily) -> FieldBatch:
 
     az = np.multiply(family.units, z[:, family.perm], out=w[:, :low])  # A_j z at every sample
     b = np.einsum("sja,sa->sj", az.conj(), z)  # beta_j(z)
-    eye = np.eye(v.shape[1])
     t = v[:, :1]  # <v, e_1>
+    # e_j - <v, e_j> v as (0 - <v, e_j> v) + 1 at e_j: the same floats as identity row j minus <v, e_j> v
+    e1_minus_tv = np.subtract(0.0, t * v)
+    e1_minus_tv[:, 0] += 1.0
     az += b[..., None] * z[:, None, :]
-    np.multiply((1j * b).real[..., None], (eye[0] - t * v)[:, None, :], out=u[:, :low])
+    np.multiply((1j * b).real[..., None], e1_minus_tv[:, None, :], out=u[:, :low])
     np.multiply(b * t, lam[:, None], out=mu[:, :low])
 
     coeff = v[:, 1:]  # <v, e_j>, j = 2..m+1
-    np.subtract(eye[1:], coeff[..., None] * v[:, None, :], out=u[:, low:])
+    high = np.subtract(0.0, coeff[..., None] * v[:, None, :], out=u[:, low:])
+    e_j = np.einsum("sjj->sj", high[..., 1:])  # a writeable view of each row's e_j entry
+    e_j += 1.0
     np.multiply(-1j * coeff, lam[:, None], out=mu[:, low:])
     return FieldBatch(w, u, mu)
 

@@ -1,12 +1,14 @@
 """Slow reference construction of the Clifford family, used only by the tests.
 
 Each generator is built the long way, as a chain of validated Kronecker
-products of the four 2x2 generators, then embedded block-diagonally; the
-report comes from the loop over every pair (j, k) with two products each,
-gathered from the rows' `(perm, phase)` arrays by `gather`.  `build_family`
-and `verify_family` in `wallspan.clifford` (the Pauli-word rows, and
-verdicts read off the words' masks or, for other rows, gathers) must agree
-with them.
+products of the four 2x2 generators, then embedded block-diagonally, and
+`build_family` returns the stacked `(perm, phase)` arrays with the signs.
+`verify_family` decides the three identities on such arrays with the loop
+over every pair (j, k), two products each, gathered by `gather`.
+`wallspan.clifford` keeps only the Pauli words: its `build_family` must
+give the same arrays, and its `verify_family`, which reads the words alone,
+the same report as this loop on the arrays the words expand to.  The word
+helpers at the end make the broken families the tests feed to both.
 """
 
 from dataclasses import replace
@@ -21,7 +23,7 @@ def identity(size: int) -> GaussMatrix:
     return GaussMatrix(np.arange(size), np.zeros(size, dtype=np.int64))
 
 
-def times_i(a: GaussMatrix) -> GaussMatrix:
+def matrix_times_i(a: GaussMatrix) -> GaussMatrix:
     """Every entry multiplied by i."""
     return GaussMatrix(a.perm, a.phase + 1)
 
@@ -82,7 +84,7 @@ def spin_generator(j: int, nu: int) -> GaussMatrix:
         raise ValueError(f"need 1 <= j <= {2 * nu + 1}, got j = {j}")
     t_mat = generator_2x2("T")
     if j == 2 * nu + 1:
-        return times_i(tensor_power(t_mat, nu))
+        return matrix_times_i(tensor_power(t_mat, nu))
     t = (j - 1) // 2
     g = generator_2x2("g1" if j % 2 == 1 else "g2")
     left = tensor_power(generator_2x2("E"), nu - 1 - t)
@@ -96,41 +98,56 @@ def conjugation_sign(j: int, nu: int) -> int:
     return (-1) ** (1 + t_factors)
 
 
-def with_matrices(family: CliffordFamily, matrices) -> CliffordFamily:
-    """`family` with its rows replaced by `matrices` (for broken families)."""
-    return replace(
-        family,
-        perm=np.stack([a.perm for a in matrices]),
-        phase=np.stack([a.phase for a in matrices]),
-    )
-
-
-def build_family(n: int) -> CliffordFamily:
-    """The family from b-fold block diagonals E_b (x) A of the spin generators."""
+def build_family(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """`(perm, phase, signs)` from b-fold block diagonals E_b (x) A of the spin generators."""
     v = nu_of(n + 1)
-    b = (n + 1) >> v
-    blocks = identity(b)
+    blocks = identity((n + 1) >> v)
     matrices = [kronecker(blocks, spin_generator(j, v)) for j in range(1, 2 * v + 2)]
     signs = tuple(conjugation_sign(j, v) for j in range(1, 2 * v + 2))
-    perm, phase = (np.stack([getattr(a, key) for a in matrices]) for key in ("perm", "phase"))
-    return CliffordFamily(n, v, b, perm, phase, signs)
+    return np.stack([a.perm for a in matrices]), np.stack([a.phase for a in matrices]), signs
 
 
-def verify_family(family: CliffordFamily) -> FamilyReport:
-    """The three identities, one pair and one row at a time."""
-    rows = list(zip(family.perm, family.phase))
+def verify_family(perm: np.ndarray, phase: np.ndarray, signs) -> FamilyReport:
+    """The three identities on stacked `(perm, phase)` rows, one pair and one row at a time."""
+    rows = list(zip(perm, phase))
     checks: list[IdentityCheck] = []
     for j in range(len(rows)):
         for k in range(j + 1, len(rows)):
             jk, kj = gather(*rows[j], *rows[k]), gather(*rows[k], *rows[j])
             ok = np.array_equal(jk[0], kj[0]) and bool(np.all((jk[1] - kj[1]) % 4 == 2))
             checks.append(IdentityCheck(f"anticommute[{j + 1},{k + 1}]", ok))
-    for j, (perm, phase) in enumerate(rows):
-        ok = np.array_equal(perm[perm], np.arange(perm.size)) and np.array_equal(
-            phase, (2 - phase[perm]) % 4
-        )
+    for j, (p, h) in enumerate(rows):
+        ok = np.array_equal(p[p], np.arange(p.size)) and np.array_equal(h, (2 - h[p]) % 4)
         checks.append(IdentityCheck(f"skew_hermitian[{j + 1}]", ok))
-    for j, ((_, phase), sign) in enumerate(zip(rows, family.predicted_signs)):
-        ok = bool(np.all(phase % 2 == (sign == -1)))
+    for j, ((_, h), sign) in enumerate(zip(rows, signs)):
+        ok = bool(np.all(h % 2 == (sign == -1)))
         checks.append(IdentityCheck(f"conjugation_sign[{j + 1}]", ok))
-    return FamilyReport(n=family.n, checks=tuple(checks))
+    return FamilyReport(n=perm.shape[1] - 1, checks=tuple(checks))
+
+
+# -- broken families, one word or sign changed ---------------------------------
+
+
+def with_word(family: CliffordFamily, j: int, word) -> CliffordFamily:
+    """`family` with A_j's word replaced by `word`."""
+    words = list(family.words)
+    words[j - 1] = word
+    return replace(family, words=tuple(words))
+
+
+def times_i(family: CliffordFamily, j: int) -> CliffordFamily:
+    """`family` with A_j replaced by i A_j: c_j + 1, so A_j is Hermitian."""
+    x, z, c = family.words[j - 1]
+    return with_word(family, j, (x, z, c + 1))
+
+
+def duplicate_word(family: CliffordFamily, j: int, k: int) -> CliffordFamily:
+    """`family` with A_k replaced by a copy of A_j."""
+    return with_word(family, k, family.words[j - 1])
+
+
+def flip_sign(family: CliffordFamily, j: int) -> CliffordFamily:
+    """`family` with the predicted sign eps_j negated."""
+    signs = list(family.predicted_signs)
+    signs[j - 1] = -signs[j - 1]
+    return replace(family, predicted_signs=tuple(signs))

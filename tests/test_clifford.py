@@ -1,13 +1,13 @@
 """Exact checks of the Clifford family construction.
 
-The family is stored as signed permutations; these tests hold it to an
-independent dense oracle (np.kron of the literal complex 2x2 generators,
-placed block by block), to the Pauli-word symplectic form, and to the
-Kronecker-chain construction and pair-loop verification kept in
-`clifford_reference.py`.  Everything
-is exact: the dense matrices and their products have entries in
-{0, +-1, +-i}, so they compare with zero tolerance, and so does a matrix
-applied to a vector.  Only the beta / pairwise-orthogonality tests allow a
+The family is stored as its Pauli words, and its signed-permutation arrays
+follow from them; these tests hold it to an independent dense oracle
+(np.kron of the literal complex 2x2 generators, placed block by block), to
+the Pauli-word symplectic form, and to the Kronecker-chain construction and
+pair-loop verification kept in `clifford_reference.py`.  Everything is
+exact: the dense matrices and their products have entries in {0, +-1, +-i},
+so they compare with zero tolerance, and so does a matrix applied to a
+vector.  Only the beta / pairwise-orthogonality tests allow a
 tolerance, 1e-12.
 """
 
@@ -24,13 +24,11 @@ from clifford_reference import (
     generator_2x2,
     identity,
     kronecker,
+    matrix_times_i,
     product,
     spin_generator,
     tensor_power,
-    times_i,
-    with_matrices,
 )
-from wallspan import clifford
 from wallspan.clifford import (
     CliffordFamily,
     GaussMatrix,
@@ -115,7 +113,7 @@ def test_monomial_products_match_dense():
             assert np.array_equal(dense(product(a, b)), dense(a) @ dense(b))
             assert same(product(product(a, b), c), product(a, product(b, c)))
             assert same(product(a, identity(size)), a) and same(product(identity(size), a), a)
-            assert np.array_equal(dense(times_i(a)), 1j * dense(a))
+            assert np.array_equal(dense(matrix_times_i(a)), 1j * dense(a))
 
 
 # -- Pauli words and the symplectic form ----------------------------------------
@@ -158,7 +156,9 @@ def test_anticommutation_is_odd_symplectic_form(v):
     # the words are the family's: X bits flip the row index, Z bits sign it
     r = np.arange(2**v)
     weights = 1 << np.arange(v - 1, -1, -1)  # factor 0 is the most significant bit
-    for (x, z), a in zip(words, build_family(2**v - 1).matrices):
+    family = build_family(2**v - 1)
+    for (x, z), a, word in zip(words, family.matrices, family.words):
+        assert word[:2] == (int(x @ weights), int(z @ weights))
         assert np.array_equal(a.perm, r ^ int(x @ weights))
         assert np.array_equal((a.phase - a.phase[0]) % 4, 2 * parity(r, int(z @ weights)))
 
@@ -223,7 +223,7 @@ def test_kronecker_associative_on_random_matrices():
 def test_spin_generator_nu1():
     assert same(spin_generator(1, 1), generator_2x2("g1"))
     assert same(spin_generator(2, 1), generator_2x2("g2"))
-    assert same(spin_generator(3, 1), times_i(generator_2x2("T")))
+    assert same(spin_generator(3, 1), matrix_times_i(generator_2x2("T")))
 
 
 def test_spin_generator_nu2_j4():
@@ -250,11 +250,11 @@ def test_build_family_small_cases():
     assert f1.count == 3 and f1.b == 1
     assert same(f1.matrices[0], generator_2x2("g1"))
     assert same(f1.matrices[1], generator_2x2("g2"))
-    assert same(f1.matrices[2], times_i(generator_2x2("T")))
+    assert same(f1.matrices[2], matrix_times_i(generator_2x2("T")))
 
     f2 = build_family(2)
     assert f2.count == 1 and f2.nu == 0 and f2.b == 3
-    assert same(f2.matrices[0], times_i(identity(3)))
+    assert same(f2.matrices[0], matrix_times_i(identity(3)))
 
     f0 = build_family(0)
     assert f0.count == 1 and np.array_equal(dense(f0.matrices[0]), [[1j]])
@@ -266,17 +266,19 @@ def test_family_count(n):
 
 
 def test_family_rejects_a_bad_row_at_construction():
-    # the rows are checked when the family is made, not when `matrices` is built
-    family = build_family(7)
-    assert "matrices" not in vars(family)
-    for bad in ([1, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 8], [-1, 1, 2, 3, 4, 5, 6, 7]):
-        perm = family.perm.copy()
-        perm[2] = bad
-        with pytest.raises(ValueError, match="not a permutation"):
-            dataclasses.replace(family, perm=perm)
-    perm = family.perm.copy()
-    perm[2] = perm[2, ::-1]
-    assert dataclasses.replace(family, perm=perm).count == family.count
+    # a word's x must lie below 2^nu, so that r ^ x permutes each block of
+    # 2^nu rows; the words are checked when the family is made, before any row
+    family = build_family(7)  # nu = 3
+    for n, x in ((7, 8), (7, -1), (7, 2**40), (5, 2), (2, 1)):  # 2^nu = 8, 8, 8, 2, 1
+        with pytest.raises(ValueError, match=f"got x = {x}"):
+            CliffordFamily(n, ((x, 0, 1),), (-1,))
+    edge = dataclasses.replace(family, words=((7, 0, 1), *family.words[1:]))
+    assert "perm" not in vars(edge)
+    assert np.array_equal(edge.perm[0], np.arange(8)[::-1])
+    assert np.array_equal(CliffordFamily(5, ((1, 0, 1),), (-1,)).perm, [[1, 0, 3, 2, 5, 4]])
+    for signs in (family.predicted_signs[:-1], (*family.predicted_signs, 1)):
+        with pytest.raises(ValueError, match="one sign per word"):
+            dataclasses.replace(family, predicted_signs=signs)
 
 
 def test_predicted_sign_values():
@@ -305,33 +307,13 @@ def test_verify_family_all_pass(n):
     assert report.all_passed, report.failures()
 
 
-def _mutated(family, j, perm=None, phase=None):
-    a = family.matrices[j - 1]
-    bad = GaussMatrix(a.perm if perm is None else perm, a.phase if phase is None else phase)
-    mats = list(family.matrices)
-    mats[j - 1] = bad
-    return with_matrices(family, mats)
-
-
 def test_verify_family_detects_mutation():
-    # one flipped phase: A_1 = E (x) g1 is diagonal, so negating one entry keeps
-    # it skew-Hermitian with odd phases, but it no longer anticommutes
+    # A_1 = E (x) g1 = iZ on the low bit made iI (z_1 = 0): still skew-Hermitian
+    # with odd phases, but it commutes with every other A_k
     family = build_family(3)
-    phase = family.matrices[0].phase.copy()
-    phase[0] = (phase[0] + 2) % 4
-    failures = verify_family(_mutated(family, 1, phase=phase)).failures()
+    assert family.words[0] == (0, 1, 1)
+    failures = verify_family(ref.with_word(family, 1, (0, 0, 1))).failures()
     assert failures == [f"anticommute[1,{k}]" for k in range(2, family.count + 1)]  # in report order
-
-
-def test_verify_family_detects_perm_swap():
-    # swapping two perm entries of A_2 = E (x) g2 (perm 1,0,3,2 -> 3,0,1,2)
-    # leaves a 4-cycle: no longer an involution, so not skew-Hermitian
-    family = build_family(3)
-    perm = family.matrices[1].perm.copy()
-    perm[[0, 2]] = perm[[2, 0]]
-    failures = set(verify_family(_mutated(family, 2, perm=perm)).failures())
-    assert "skew_hermitian[2]" in failures
-    assert not any(name.startswith("conjugation_sign") for name in failures)
 
 
 def test_verify_family_n0():
@@ -347,9 +329,8 @@ def test_verify_family_scales_to_4095():
 
 
 def test_verify_family_memory_peak():
-    # reading the Pauli words, and the gathers for a family with a row of
-    # another form, keep the work O(count * n); broadcasting all pairs at
-    # once, (count, count, n + 1), read about 80 MB here
+    # the words decide every identity, so no (count, n + 1) array is built;
+    # broadcasting all pairs at once, (count, count, n + 1), read about 80 MB here
     verify_family(build_family(3))
     tracemalloc.start()
     try:
@@ -358,17 +339,14 @@ def test_verify_family_memory_peak():
     finally:
         tracemalloc.stop()
     assert report.all_passed and peak <= 8 * 2**20
-    family = build_family(4095)
-    phase = family.phase.copy()
-    phase[0, -1] += 2
-    broken = dataclasses.replace(family, phase=phase)
-    tracemalloc.start()
-    try:
-        report = verify_family(broken)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.failures() and peak <= 8 * 2**20
+
+
+def test_verify_family_builds_no_array():
+    # 81 generators on C^(2^40): their arrays would hold 2^40 entries per row
+    family = build_family(2**40 - 1)
+    report = verify_family(family)
+    assert report.all_passed and len(report.checks) == 81 * 80 // 2 + 2 * 81 == 3402
+    assert not {"perm", "phase", "units", "matrices"} & vars(family).keys()
 
 
 # -- the Kronecker-chain oracle (tests/clifford_reference.py) -------------------
@@ -376,101 +354,63 @@ def test_verify_family_memory_peak():
 
 def test_build_family_matches_kronecker_reference():
     for n in range(256):
-        family, expected = build_family(n), ref.build_family(n)
-        assert (family.nu, family.b) == (expected.nu, expected.b), n
-        assert np.array_equal(family.perm, expected.perm), n
-        assert np.array_equal(family.phase, expected.phase), n
-        assert family.predicted_signs == expected.predicted_signs, n
-        assert all(same(a, b) for a, b in zip(family.matrices, expected.matrices)), n
+        family = build_family(n)
+        perm, phase, signs = ref.build_family(n)
+        assert np.array_equal(family.perm, perm), n
+        assert np.array_equal(family.phase, phase), n
+        assert family.predicted_signs == signs, n
+        assert all(same(a, GaussMatrix(p, h)) for a, p, h in zip(family.matrices, perm, phase)), n
+
+
+def reference_report(family):
+    """The pair loop of clifford_reference on the arrays the words expand to."""
+    return ref.verify_family(family.perm, family.phase, family.predicted_signs)
 
 
 def _broken_families(family):
-    """Every generator flipped, permuted, duplicated, made Hermitian or mis-signed."""
-    mats, count = family.matrices, family.count
-    for j, a in enumerate(mats, start=1):
-        phase = a.phase.copy()
-        phase[-1] += 2
-        yield _mutated(family, j, phase=phase)
-        phase[0] += 1
-        yield _mutated(family, j, phase=phase)
-        if a.size > 2:
-            perm = a.perm.copy()
-            perm[[0, 2]] = perm[[2, 0]]
-            yield _mutated(family, j, perm=perm)
-        yield with_matrices(family, mats[: j - 1] + (times_i(a),) + mats[j:])
-        yield with_matrices(family, mats[: j - 1] + (mats[j % count],) + mats[j:])
-        signs = list(family.predicted_signs)
-        signs[j - 1] = -signs[j - 1]
-        yield dataclasses.replace(family, predicted_signs=tuple(signs))
+    """Every generator made Hermitian, replaced by a copy of the next, or mis-signed."""
+    for j in range(1, family.count + 1):
+        yield ref.times_i(family, j)
+        yield ref.duplicate_word(family, j % family.count + 1, j)
+        yield ref.flip_sign(family, j)
 
 
 @pytest.mark.parametrize("n", [*N_GRID, 23, 63, 95, 127])
 def test_verify_family_matches_pair_loop_reference(n):
     family = build_family(n)
-    assert verify_family(family) == ref.verify_family(family)
+    assert verify_family(family) == reference_report(family)
     for broken in _broken_families(family):
         report = verify_family(broken)
-        assert report == ref.verify_family(broken)
-        # with one generator (n even) a flip, swap or self-duplicate can stay valid
+        assert report == reference_report(broken)
+        # with one generator (n even) its copy of itself stays valid
         assert family.count == 1 or not report.all_passed
-
-
-def test_verify_family_reads_masks_unless_a_row_is_not_a_pauli_word(monkeypatch):
-    gathered = []
-    gathers = clifford._verify_by_gathers
-    monkeypatch.setattr(clifford, "_verify_by_gathers", lambda f: gathered.append(f) or gathers(f))
-    for n in [*N_GRID, 23, 63, 95, 127, 4095]:
-        assert verify_family(build_family(n)).all_passed, n
-    assert gathered == []
-    # of build_family(3)'s broken families (A_1 first), the phase flip on the
-    # last row and the perm swap leave the Pauli words; i * A_1, a duplicate
-    # and a flipped sign are still words, decided from the masks
-    family = build_family(3)
-    flip, _, swap, times_i, duplicate, sign = list(_broken_families(family))[:6]
-    cases = ((flip, True), (swap, True), (times_i, False), (duplicate, False), (sign, False))
-    for broken, by_gathers in cases:
-        gathered.clear()
-        assert not verify_family(broken).all_passed
-        assert gathered == ([broken] if by_gathers else [])
 
 
 @st.composite
 def pauli_families(draw):
-    """A family of random Pauli words on C^(n+1), n + 1 = 2^nu * b, and the same
-    family with one phase entry shifted or two perm entries swapped.
+    """A family of random Pauli words on C^(n+1), n + 1 = 2^nu * b, with random signs.
 
-    Row j is perm = r ^ x_j, phase = c_j + 2 popcount(r & z_j) mod 4, with
-    x_j < 2^nu so that r ^ x_j stays inside r's block of 2^nu rows.
+    x_j < 2^nu, so that r ^ x_j stays inside r's block of 2^nu rows; z_j
+    reaches every bit of n, so its bits above nu sign whole blocks.
     """
     v, b = draw(st.integers(0, 5)), draw(st.sampled_from((1, 3, 5)))
     n = (b << v) - 1
     count = draw(st.integers(1, 7))
-    rows = range(n + 1)
-    perm, phase = [], []
-    for _ in range(count):
-        x, z = draw(st.integers(0, 2**v - 1)), draw(st.integers(0, 2 ** n.bit_length() - 1))
-        c = draw(st.integers(0, 3))
-        perm.append([r ^ x for r in rows])
-        phase.append([(c + 2 * (r & z).bit_count()) % 4 for r in rows])
+    x, z, c = st.integers(0, 2**v - 1), st.integers(0, 2 ** n.bit_length() - 1), st.integers(0, 3)
+    words = tuple((draw(x), draw(z), draw(c)) for _ in range(count))
     signs = tuple(draw(st.sampled_from((-1, 1))) for _ in range(count))
-    family = CliffordFamily(n, v, b, np.array(perm), np.array(phase), signs)
-    perm, phase = family.perm.copy(), family.phase.copy()
-    j, r = draw(st.integers(0, count - 1)), draw(st.integers(0, n))
-    if n > 0 and draw(st.booleans()):
-        s = draw(st.integers(0, n).filter(lambda s: s != r))
-        perm[j, [r, s]] = perm[j, [s, r]]
-    else:
-        phase[j, r] += draw(st.integers(1, 3))
-    return family, dataclasses.replace(family, perm=perm, phase=phase)
+    return CliffordFamily(n, words, signs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pauli_families())
-def test_verify_family_matches_pair_loop_on_random_pauli_words(families):
-    # random words commute as often as not, unlike build_family's, and a
-    # corrupted entry mostly leaves the Pauli words for the gather path
-    for family in families:
-        assert verify_family(family) == ref.verify_family(family)
+def test_verify_family_matches_pair_loop_on_random_pauli_words(family):
+    # random words commute as often as not, unlike build_family's
+    assert verify_family(family) == reference_report(family)
+    rows = np.arange(family.n + 1)
+    for (x, z, c), perm, phase in zip(family.words, family.perm, family.phase):
+        assert np.array_equal(perm, rows ^ x)
+        assert np.array_equal(phase, [(c + 2 * (r & z).bit_count()) % 4 for r in range(family.n + 1)])
 
 
 @pytest.mark.parametrize("n", N_GRID)
@@ -544,7 +484,7 @@ def test_gauss_matrix_validation():
 
 
 def test_gauss_matrix_pretty():
-    it = times_i(generator_2x2("T"))
+    it = matrix_times_i(generator_2x2("T"))
     assert it.entries() == [["0", "1"], ["-1", "0"]]
     g1 = generator_2x2("g1")
     assert g1.entries() == [["i", "0"], ["0", "-i"]]

@@ -84,7 +84,7 @@ def test_array_work_executes_numpy():
     script = """
 import sys, types
 from wallspan.clifford import build_family
-build_family(7)
+build_family(7).perm  # the words are ints; their arrays are the first numeric use
 print("numpy.linalg" in sys.modules, type(sys.modules["numpy"]) is types.ModuleType)
 """
     assert _run(script) == "True True"

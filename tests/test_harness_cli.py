@@ -9,7 +9,7 @@ from functools import lru_cache, partial
 import numpy as np
 import pytest
 
-from clifford_reference import times_i, with_matrices
+from clifford_reference import duplicate_word, times_i
 from wallspan import cli, f2cohomology, fields, harness
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family
@@ -74,12 +74,11 @@ def test_campaign_grid_complete_and_deterministic():
 # -- the batched checks catch broken fields ----------------------------------------
 
 
-def _use_family(monkeypatch, n, matrices):
-    # replaces the campaign's family at this n only; other n keep the real one
-    family = with_matrices(build_family(n), matrices)
+def _use_family(monkeypatch, family):
+    # replaces the campaign's family at its n only; other n keep the real one
     broken = (family, harness.clifford_section(family))
     clifford_for = harness.clifford_for
-    monkeypatch.setattr(harness, "clifford_for", lambda k: broken if k == n else clifford_for(k))
+    monkeypatch.setattr(harness, "clifford_for", lambda n: broken if n == family.n else clifford_for(n))
 
 
 # the `clifford` section of every case at n = 0, 1, 3, as the per-case assembly gave it
@@ -138,16 +137,14 @@ def test_run_case_builds_total_class_once(monkeypatch):
 
 
 def test_duplicated_matrix_fails_rank(monkeypatch):
-    a = build_family(1).matrices
-    _use_family(monkeypatch, 1, (a[0], a[0], a[2]))
+    _use_family(monkeypatch, duplicate_word(build_family(1), 1, 2))
     record, _ = run_case(2, 1, SMALL)
     assert not record["independence"]["rankOk"]
     assert not record["passed"]
 
 
 def test_hermitian_matrix_fails_sigma_sign(monkeypatch):
-    a = build_family(1).matrices
-    _use_family(monkeypatch, 1, (times_i(a[0]), a[1], a[2]))
+    _use_family(monkeypatch, times_i(build_family(1), 1))
     record, _ = run_case(2, 1, SMALL)
     assert not record["signs"]["allPassed"]
     bad = [(e["j"], e["kind"]) for e in record["signs"]["entries"] if not e["passed"]]
@@ -379,8 +376,7 @@ def test_cli_unknown_command():
 
 
 def test_cli_reports_broken_family(capsys, monkeypatch):
-    a = build_family(1).matrices
-    _use_family(monkeypatch, 1, (a[0], a[0], a[2]))
+    _use_family(monkeypatch, duplicate_word(build_family(1), 1, 2))
     assert main(["fields", "--m", "2", "--n", "1", "--samples", "5"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out and "rank deficiency observed" in out
