@@ -25,7 +25,6 @@ from .clifford import (
 )
 from .f2cohomology import (
     GradedF2Poly,
-    MultisetWitness,
     RuleOutResult,
     VirtualSwSearch,
     WallRing,

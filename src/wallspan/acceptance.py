@@ -21,9 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .clifford import build_family, verify_family
+from .clifford import build_family
 from .f2cohomology import VirtualSwSearch
-from .harness import CampaignConfig, CampaignResult, run_campaign
+from .harness import CampaignConfig, CampaignResult, clifford_section, run_campaign
 from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
 # (n+1, nu(n+1), sspan CP^n) regression rows for criterion 6.
@@ -80,14 +80,11 @@ def criterion_clifford_exact() -> CriterionResult:
     start = time.perf_counter()
     failures = []
     for n in range(CLIFFORD_N_MAX + 1):
-        family = build_family(n)
-        expected = 2 * WallParams(1, n).nu + 1
-        if family.count != expected:
-            failures.append(f"n={n}: {family.count} matrices, expected {expected}")
-            continue
-        report = verify_family(family)
-        if not report.all_passed:
-            failures.append(f"n={n}: {report.failures()}")
+        section = clifford_section(build_family(n))  # not clifford_for: the budget times a fresh build
+        if not section["countOk"]:
+            failures.append(f"n={n}: {section['matrixCount']} matrices, expected {section['expectedCount']}")
+        elif not section["allPassed"]:
+            failures.append(f"n={n}: {section['failures']}")
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < CLIFFORD_BUDGET_S
     details = (

@@ -28,8 +28,10 @@ x_j lies below 2^nu, so the formula repeats A_j on each of the b blocks.
 Under this identification componentwise conjugation on the factors is
 componentwise conjugation on C^(n+1), so the identities are entrywise
 statements.  `verify_family` decides each of them from the words with a
-few int bit operations, whatever n is; the (perm, phase) arrays are built
-only when the field engine or the CLI asks for them.
+few int bit operations, whatever n is, and its report keeps one bool per
+identity next to the shared tuple of names.  The (perm, phase) arrays are
+built only for the field engine and for the matrices the CLI prints (n < 8);
+`clifford --format json` writes the words, so x, z and c above decode it.
 
 numpy is loaded on first numeric use (`_lazynp`): `import wallspan` binds it
 without running its code, so the `invariants` and `cohomology` commands,
@@ -79,17 +81,13 @@ class GaussMatrix:
             raise ValueError(f"vector length {z.shape} does not match matrix size {self.size}")
         return np.array(UNITS)[self.phase] * z[self.perm]
 
-    def entries(self) -> list[list[str]]:
-        """Every entry as text, row by row: 0, 1, i, -1 or -i."""
+    def pretty(self) -> str:
+        """Every entry as text (0, 1, i, -1 or -i), one bracketed row per line."""
         rows = [["0"] * self.size for _ in range(self.size)]
         for row, col, ph in zip(rows, self.perm.tolist(), self.phase.tolist()):
             row[col] = _UNIT_LABELS[ph]
-        return rows
-
-    def pretty(self) -> str:
-        cells = self.entries()
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
+        width = max(len(c) for row in rows for c in row)
+        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in rows)
 
     def __repr__(self) -> str:
         return f"GaussMatrix({self.size}x{self.size})"
@@ -191,22 +189,19 @@ def build_family(n: int) -> CliffordFamily:
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-
-
-@dataclass(frozen=True)
 class FamilyReport:
+    """The verdict of each identity, `checks[i]` for the identity named `names[i]`."""
+
     n: int
-    checks: tuple[IdentityCheck, ...]
+    names: tuple[str, ...]
+    checks: tuple[bool, ...]
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(self.checks)
 
     def failures(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
+        return [name for name, passed in zip(self.names, self.checks) if not passed]
 
 
 def verify_family(family: CliffordFamily) -> FamilyReport:
@@ -235,8 +230,7 @@ def verify_family(family: CliffordFamily) -> FamilyReport:
     )
     skew = ((c + (x & z).bit_count()) % 2 == 1 for x, z, c in words)
     signs = (c % 2 == (eps == -1) for (_, _, c), eps in zip(words, family.predicted_signs))
-    checks = map(IdentityCheck, _check_names(family.count), chain(anticommute, skew, signs))
-    return FamilyReport(n=family.n, checks=tuple(checks))
+    return FamilyReport(family.n, _check_names(family.count), tuple(chain(anticommute, skew, signs)))
 
 
 @cache

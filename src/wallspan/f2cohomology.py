@@ -25,7 +25,9 @@ and as c^(m+2) = 0, U = (1 + c)^(2^L - 1) = prod_{l < L} (1 + c^(2^l)) for
 and k is ruled out iff the class of every key that k classes reach has a
 degree above dim - k.  So `rule_out` reads a memoised running minimum of top
 degrees, adding the keys `_new_keys` lists at each step: a scan computes each
-of its O(bound) keys once.
+of its O(bound) keys once.  The reports give the keys too, not the multisets:
+a result's `witnesses` pair each of the 4k keys that k classes reach with its
+class's lowest degree above dim - k, which every multiset of that key shares.
 
 The tests check the ring against sympy's Groebner reduction, a hand expansion
 of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
@@ -36,15 +38,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import groupby
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .invariants import WallParams
 
 Mono = tuple[int, int, int]
 Key = tuple[int, int, int]  # (s, k1 mod 2, k3 mod 2) of a multiset, see VirtualSwSearch
 Pair = tuple[int, int]  # the packed (h0, h1) of a class
+Witness = tuple[Key, int | None]  # a key and its class's failure degree, see RuleOutResult
 
 GENERATORS = ("x", "c", "d")
 
@@ -229,35 +232,6 @@ def total_sw_wall(p: WallParams) -> GradedF2Poly:
 
 # -- the virtual Stiefel-Whitney obstruction ------------------------------------
 
-H1_LABELS = ("0", "x", "c", "x+c")
-
-
-@dataclass(frozen=True)
-class MultisetWitness:
-    """Outcome for one multiset {x_1, ..., x_k} of degree-1 classes.
-
-    `counts` gives the multiplicities of (0, x, c, x+c).  `failure_degree` is
-    the smallest degree above dim - k where w / prod(1 + x_i) is nonzero, or
-    None if there is none (the multiset satisfies the necessary condition).
-    """
-
-    counts: tuple[int, int, int, int]
-    failure_degree: int | None
-
-    def describe(self) -> str:
-        return _describe(self.counts)  # memoised: reports list the same multisets case after case
-
-    def to_json_dict(self) -> dict[str, Any]:
-        counts, failure = list(self.counts), self.failure_degree
-        return {"multiset": self.describe(), "counts": counts, "failureDegree": failure}
-
-
-@lru_cache(maxsize=4096)  # a default campaign lists 575 distinct multisets
-def _describe(counts: tuple[int, int, int, int]) -> str:
-    labels = [lab for lab, count in zip(H1_LABELS, counts) for _ in range(count)]
-    return "{" + ", ".join(labels) + "}"
-
-
 @dataclass(frozen=True)
 class RuleOutResult:
     """Whether k independent line fields are impossible, decided on the memo keys."""
@@ -274,19 +248,11 @@ class RuleOutResult:
         return self.k - 1 if self.ruled_out else self.k
 
     @cached_property
-    def witnesses(self) -> tuple[MultisetWitness, ...]:
-        """Multisets in (k1, k2, k3) order: all if ruled out, else through the first passing one."""
-        k, allowed, failures, out = self.k, self.max_allowed_degree, {}, []
-        for k1 in range(k + 1):
-            for k2 in range(k - k1 + 1):
-                for k3 in range(k - k1 - k2 + 1):
-                    key = (k2 + k3, k1 & 1, k3 & 1)
-                    if key not in failures:
-                        failures[key] = self.failure_degree(key, allowed)
-                    out.append(MultisetWitness((k - k1 - k2 - k3, k1, k2, k3), failures[key]))
-                    if failures[key] is None:
-                        return tuple(out)
-        return tuple(out)
+    def witnesses(self) -> tuple[Witness, ...]:
+        """(key, failure degree) for each key that k classes reach, in `_new_keys` order:
+        the lowest degree above dim - k where the key's class is nonzero, or None."""
+        keys = (key for t in range(self.k + 1) for key in _new_keys(t))
+        return tuple((key, self.failure_degree(key, self.max_allowed_degree)) for key in keys)
 
 
 def _new_keys(s: int) -> tuple[Key, ...]:

@@ -21,10 +21,10 @@ from typing import Any
 
 from . import fields as fl
 from .clifford import CliffordFamily, build_family, verify_family
-from .f2cohomology import GradedF2Poly, VirtualSwSearch
+from .f2cohomology import GradedF2Poly, VirtualSwSearch, Witness
 from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
 
 EIGHTH_ROOTS = tuple(
@@ -79,7 +79,8 @@ class CampaignConfig:
 
 
 def clifford_section(family: CliffordFamily) -> dict[str, Any]:
-    """A case record's `clifford` section: the family's exact identities and its count."""
+    """The family's exact identities and its count: a case record's `clifford`
+    section, and the verdict of `clifford --format json` and of criterion 1."""
     report = verify_family(family)
     expected = 2 * nu(family.n + 1) + 1
     return {
@@ -87,7 +88,7 @@ def clifford_section(family: CliffordFamily) -> dict[str, Any]:
         "expectedCount": expected,
         "countOk": family.count == expected,
         "identitiesTotal": len(report.checks),
-        "identitiesPassed": sum(1 for c in report.checks if c.passed),
+        "identitiesPassed": sum(report.checks),
         "allPassed": report.all_passed,
         "failures": report.failures(),
         "claim": "A_j A_k = -A_k A_j; A_j* = -A_j; conj(A_j) = eps_j A_j (exact)",
@@ -131,6 +132,11 @@ def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
     w.render() and each w.component(q).render(), from one w.render_by_degree()."""
     by_degree = [{"degree": q, "value": piece} for q, piece in w.render_by_degree()]
     return {"totalSw": " + ".join(d["value"] for d in by_degree) or "0", "totalSwByDegree": by_degree}
+
+
+def witnesses_json(witnesses: tuple[Witness, ...]) -> list[dict[str, Any]]:
+    """A rule-out result's witnesses: each key [s, k1 mod 2, k3 mod 2] with its failure degree."""
+    return [{"key": list(key), "failureDegree": failure} for key, failure in witnesses]
 
 
 def formula_record(params: WallParams) -> dict[str, Any]:
@@ -231,7 +237,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
         **total_sw_json(w),
         "swUpperBound": upper,
         "ruledOutAtK": last.k if last.ruled_out else None,
-        "ruleOutWitnesses": [x.to_json_dict() for x in last.witnesses] if last.ruled_out else [],
+        "ruleOutWitnesses": witnesses_json(last.witnesses) if last.ruled_out else [],
         "checks": [
             _check(
                 "sw_bound_not_below_pspan",

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from wallspan.clifford import CliffordFamily, FamilyReport, GaussMatrix, IdentityCheck
+from wallspan.clifford import CliffordFamily, FamilyReport, GaussMatrix
 from wallspan.invariants import nu as nu_of
 
 
@@ -110,19 +110,20 @@ def build_family(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
 def verify_family(perm: np.ndarray, phase: np.ndarray, signs) -> FamilyReport:
     """The three identities on stacked `(perm, phase)` rows, one pair and one row at a time."""
     rows = list(zip(perm, phase))
-    checks: list[IdentityCheck] = []
+    names: list[str] = []
+    checks: list[bool] = []
     for j in range(len(rows)):
         for k in range(j + 1, len(rows)):
             jk, kj = gather(*rows[j], *rows[k]), gather(*rows[k], *rows[j])
-            ok = np.array_equal(jk[0], kj[0]) and bool(np.all((jk[1] - kj[1]) % 4 == 2))
-            checks.append(IdentityCheck(f"anticommute[{j + 1},{k + 1}]", ok))
+            names.append(f"anticommute[{j + 1},{k + 1}]")
+            checks.append(np.array_equal(jk[0], kj[0]) and bool(np.all((jk[1] - kj[1]) % 4 == 2)))
     for j, (p, h) in enumerate(rows):
-        ok = np.array_equal(p[p], np.arange(p.size)) and np.array_equal(h, (2 - h[p]) % 4)
-        checks.append(IdentityCheck(f"skew_hermitian[{j + 1}]", ok))
+        names.append(f"skew_hermitian[{j + 1}]")
+        checks.append(np.array_equal(p[p], np.arange(p.size)) and np.array_equal(h, (2 - h[p]) % 4))
     for j, ((_, h), sign) in enumerate(zip(rows, signs)):
-        ok = bool(np.all(h % 2 == (sign == -1)))
-        checks.append(IdentityCheck(f"conjugation_sign[{j + 1}]", ok))
-    return FamilyReport(n=perm.shape[1] - 1, checks=tuple(checks))
+        names.append(f"conjugation_sign[{j + 1}]")
+        checks.append(bool(np.all(h % 2 == (sign == -1))))
+    return FamilyReport(perm.shape[1] - 1, tuple(names), tuple(checks))
 
 
 # -- broken families, one word or sign changed ---------------------------------

@@ -1,11 +1,14 @@
 """Slow reference algebra for the Wall ring, used only by the tests.
 
 `power` and `unit_inverse` go through ring products alone, and
-`rule_out_reference` is the triple loop over every multiset (k1, k2, k3) that
-the key-level `VirtualSwSearch.rule_out` must agree with.
+`failures_by_key` is the triple loop over every multiset (k1, k2, k3) that
+the key-level witnesses of `VirtualSwSearch.rule_out` must agree with, on
+classes built by ring products (`ring_product_degrees`) or by the closed form
+(`closed_form_degrees`).
 """
 
-from wallspan.f2cohomology import GradedF2Poly, MultisetWitness, VirtualSwSearch
+from wallspan.f2cohomology import GradedF2Poly, VirtualSwSearch, wall_presentation
+from wallspan.invariants import WallParams
 
 
 def power(p: GradedF2Poly, e: int) -> GradedF2Poly:
@@ -35,24 +38,48 @@ def unit_inverse(p: GradedF2Poly) -> GradedF2Poly:
     return inverse
 
 
-def rule_out_reference(search: VirtualSwSearch, k: int):
-    """(ruled_out, max_allowed_degree, witnesses) from a scan of every multiset
-    of k classes in (k1, k2, k3) order, stopping at the first passing one.
+def failures_by_key(degrees_of, dim: int, k_max: int):
+    """Yield (k, {key: failure degrees}) for k = 1..k_max, over every multiset of k
+    degree-1 classes: k0 zeros and k1, k2, k3 copies of x, c and x + c, whose key
+    is (k2 + k3, k1 mod 2, k3 mod 2) and whose virtual class has the degrees
+    degrees_of((k1, k2, k3)).  A multiset's failure degree is the lowest degree
+    of its class above dim - k, or None if there is none (the multiset passes).
 
-    Within the call, failure degrees are memoised on (k2 + k3, k1 mod 2,
-    k3 mod 2), which determines the class by the closed form (tested on its
-    own against ring products)."""
-    allowed = search.ring.top_degree - k
-    failures = {}
-    witnesses = []
-    for k1 in range(k + 1):
-        for k2 in range(k - k1 + 1):
-            for k3 in range(k - k1 - k2 + 1):
-                key = (k2 + k3, k1 & 1, k3 & 1)
-                if key not in failures:
-                    degrees = search.virtual_class((k1, k2, k3)).degrees()
-                    failures[key] = next((q for q in degrees if q > allowed), None)
-                witnesses.append(MultisetWitness((k - k1 - k2 - k3, k1, k2, k3), failures[key]))
-                if failures[key] is None:
-                    return False, allowed, tuple(witnesses)
-    return True, allowed, tuple(witnesses)
+    It depends on k and the class's degrees alone, so each key keeps the
+    distinct degree tuples of its multisets; the multisets of k are those of
+    k - 1 with one more zero, and those with k0 = 0."""
+    by_key: dict = {}
+    for k in range(k_max + 1):
+        for k1 in range(k + 1):
+            for k2 in range(k - k1 + 1):
+                k3 = k - k1 - k2
+                by_key.setdefault((k2 + k3, k1 & 1, k3 & 1), set()).add(tuple(degrees_of((k1, k2, k3))))
+        if k:
+            yield k, {
+                key: {next((q for q in degrees if q > dim - k), None) for degrees in classes}
+                for key, classes in by_key.items()
+            }
+
+
+def ring_product_degrees(p: WallParams):
+    """degrees_of for `failures_by_key` by ring products alone: the degrees of
+    w(Q) / ((1 + x)^k1 (1 + c)^k2 (1 + x + c)^k3), with w(Q) the product of its
+    factors and each class one product away from a smaller multiset's."""
+    ring = wall_presentation(p.m, p.n)
+    one, x, c, d = ring.one(), ring.gen("x"), ring.gen("c"), ring.gen("d")
+    inverses = [unit_inverse(one + x), unit_inverse(one + c), unit_inverse(one + x + c)]
+    classes = {(0, 0, 0): (one + c + x) * power(one + c, p.m - 1) * power(one + c + d, p.n + 1)}
+
+    def class_of(triple):
+        if triple not in classes:
+            i = next(i for i, t in enumerate(triple) if t)
+            smaller = triple[:i] + (triple[i] - 1,) + triple[i + 1 :]
+            classes[triple] = class_of(smaller) * inverses[i]
+        return classes[triple]
+
+    return lambda triple: class_of(triple).degrees()
+
+
+def closed_form_degrees(search: VirtualSwSearch):
+    """degrees_of for `failures_by_key` from `VirtualSwSearch.virtual_class`."""
+    return lambda triple: search.virtual_class(triple).degrees()

@@ -7,10 +7,12 @@ Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines;
 import numpy as np
 import pytest
 
+from clifford_reference import duplicate_word
 from wallspan import acceptance as acc
 from wallspan import fields
 from wallspan.acceptance import run_acceptance
 from wallspan.cli import main
+from wallspan.clifford import CliffordFamily, build_family
 
 CRITERIA = {
     1: "Clifford family exactness",
@@ -66,3 +68,18 @@ def test_sspan_table_checks_its_nu_column(monkeypatch):
     result = acc.criterion_sspan_table()
     assert not result.passed
     assert result.details == "failures: ['n+1=8: nu 3 != 2']"
+
+
+def test_clifford_criterion_names_each_broken_family(monkeypatch):
+    # at n = 1 A_2 is a copy of A_1; at n = 3 the family is one generator short
+    full = build_family(3)
+    families = {
+        1: duplicate_word(build_family(1), 1, 2),
+        3: CliffordFamily(3, full.words[:-1], full.predicted_signs[:-1]),
+    }
+    monkeypatch.setattr(acc, "build_family", lambda n: families.get(n) or build_family(n))
+    result = acc.criterion_clifford_exact()
+    assert not result.passed
+    assert result.details == (
+        "failures: [\"n=1: ['anticommute[1,2]']\", 'n=3: 4 matrices, expected 5'] (budget 1.0s)"
+    )

@@ -19,7 +19,7 @@ from wallspan.f2cohomology import (
 )
 from wallspan.invariants import WallParams, nu
 
-from f2_reference import power, rule_out_reference, unit_inverse
+from f2_reference import closed_form_degrees, failures_by_key, power, ring_product_degrees, unit_inverse
 
 
 # -- independent expansion oracle for the Wall ring ---------------------------
@@ -269,8 +269,7 @@ def test_rule_out_k1_always_admissible(m, n):
     # the all-zero multiset works at k = 1 since w has no top-degree part
     result = VirtualSwSearch(WallParams(m, n)).rule_out(1)
     assert not result.ruled_out
-    assert result.witnesses[-1].counts == (1, 0, 0, 0)
-    assert result.witnesses[-1].failure_degree is None
+    assert result.witnesses[0] == ((0, 0, 0), None)  # the key of {0}
 
 
 def test_rule_out_2_2():
@@ -279,13 +278,11 @@ def test_rule_out_2_2():
     result3 = VirtualSwSearch(p).rule_out(3)
     assert not result3.ruled_out
 
-    # re-derive the recorded witness through the public ring operations
-    admissible = result3.witnesses[-1]
-    assert admissible.failure_degree is None
+    # re-derive a passing key through the public ring operations, on a multiset with that key
+    (s, k1, k3), _ = next(w for w in result3.witnesses if w[1] is None)
     pres = wall_presentation(2, 2)
     one, x, c = pres.one(), pres.gen("x"), pres.gen("c")
-    k0, k1, k2, k3 = admissible.counts
-    product = power(one + x, k1) * power(one + c, k2) * power(one + x + c, k3)
+    product = power(one + x, k1) * power(one + c, s - k3) * power(one + x + c, k3)
     u = total_sw_wall(p) * unit_inverse(product)
     assert max(u.degrees()) <= p.dim - 3
 
@@ -296,19 +293,18 @@ def test_rule_out_n_even_at_m_plus_2(m, n):
     p = WallParams(m, n)
     result = VirtualSwSearch(p).rule_out(m + 2)
     assert result.ruled_out
-    assert all(w.failure_degree is not None for w in result.witnesses)
+    allowed = result.max_allowed_degree
     # every recorded failure lies in a forbidden degree
-    assert all(w.failure_degree > result.max_allowed_degree for w in result.witnesses)
+    assert all(failure is not None and failure > allowed for _, failure in result.witnesses)
 
-    # re-derive each failure through the public ring operations
+    # re-derive each failure through the public ring operations, on a multiset with its key
     pres = wall_presentation(m, n)
     one, x, c = pres.one(), pres.gen("x"), pres.gen("c")
     w_total = total_sw_wall(p)
-    for witness in result.witnesses:
-        _, k1, k2, k3 = witness.counts
-        product = power(one + x, k1) * power(one + c, k2) * power(one + x + c, k3)
+    for (s, k1, k3), failure in result.witnesses:
+        product = power(one + x, k1) * power(one + c, s - k3) * power(one + x + c, k3)
         u = w_total * unit_inverse(product)
-        assert not u.component(witness.failure_degree).is_zero()
+        assert min(q for q in u.degrees() if q > allowed) == failure
 
 
 def test_rule_out_range_errors():
@@ -329,32 +325,42 @@ def test_every_k_past_the_first_ruled_out_is_ruled_out(m, n):
     for k in range(first.k + 1, p.dim + 1):
         result = search.rule_out(k)
         assert result.ruled_out
-        assert len(result.witnesses) == (k + 1) * (k + 2) * (k + 3) // 6
+        assert len(result.witnesses) == 4 * k
 
 
-def assert_rule_out_matches_reference(search, k):
-    result = search.rule_out(k)
-    ruled_out, allowed, witnesses = rule_out_reference(search, k)
-    assert (result.ruled_out, result.max_allowed_degree) == (ruled_out, allowed), k
-    assert result.witnesses == witnesses, k
+def assert_witnesses_match_multisets(search, degrees_of, k_max):
+    """The key witnesses of rule_out(k), k <= k_max, against every multiset of k
+    classes: the same keys, each multiset failing where its key does, the same verdict."""
+    dim = search.ring.top_degree
+    for k, failures in failures_by_key(degrees_of, dim, k_max):
+        result = search.rule_out(k)
+        assert len(result.witnesses) == 4 * k, k  # each reachable key once
+        assert {key: {failure} for key, failure in result.witnesses} == failures, k
+        assert result.ruled_out == all(None not in f for f in failures.values()), k
+        assert result.max_allowed_degree == dim - k
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_key_witnesses_match_ring_product_multisets(m):
+    # each multiset's class built by ring products alone, at every k <= dim
+    for n in range(9):
+        p = WallParams(m, n)
+        assert_witnesses_match_multisets(VirtualSwSearch(p), ring_product_degrees(p), p.dim)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_rule_out_matches_triple_loop_at_every_k(m):
     for n in range(8):
         search = VirtualSwSearch(WallParams(m, n))
-        for k in range(1, search.ring.top_degree + 1):
-            assert_rule_out_matches_reference(search, k)
+        assert_witnesses_match_multisets(search, closed_form_degrees(search), search.ring.top_degree)
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(8, 20)] + [(10, 32)])
 def test_rule_out_matches_triple_loop_through_the_first_ruled_out_k(m, n):
-    # every admissible k, the first ruled-out k and two more: each later k lists
-    # all (k+1)(k+2)(k+3)/6 multisets, too many to compare here beyond n < 8
+    # every admissible k, the first ruled-out k and two more
     search = VirtualSwSearch(WallParams(m, n))
     last = min(sw_upper_bound(WallParams(m, n)) + 3, search.ring.top_degree)
-    for k in range(1, last + 1):
-        assert_rule_out_matches_reference(search, k)
+    assert_witnesses_match_multisets(search, closed_form_degrees(search), last)
 
 
 def test_rule_out_consults_exactly_the_reachable_keys():
@@ -377,7 +383,7 @@ def test_scan_builds_no_witnesses():
     results = list(VirtualSwSearch(WallParams(4, 6)).scan())
     assert [r.k for r in results] == [1, 2, 3, 4, 5, 6] and results[-1].ruled_out
     assert all("witnesses" not in vars(r) for r in results)
-    assert len(results[-1].witnesses) == 7 * 8 * 9 // 6
+    assert len(results[-1].witnesses) == 4 * 6  # the keys 6 classes reach
     assert "witnesses" in vars(results[-1])
 
 

@@ -244,11 +244,13 @@ def test_cli_cohomology(capsys):
     assert obj["swUpperBound"] == 3
     ruled = {e["k"]: e["ruledOut"] for e in obj["ruleOuts"]}
     assert ruled[3] is False and ruled[4] is True
-    witnesses = next(e for e in obj["ruleOuts"] if e["k"] == 4)["witnesses"]
-    assert witnesses and all(w["failureDegree"] is not None for w in witnesses)
-    later = [(e["k"], e["ruledOut"], e["witnessCount"]) for e in obj["ruleOuts"] if e["k"] > 4]
-    assert later == [(5, True, 56), (6, True, 84), (7, True, 120)]
-    assert obj["kMax"] == obj["dim"] == 7 and obj["boundNotBelowPspan"] is True
+    # the list stops at the first ruled-out k, whose 4k keys all fail above degree dim - k = 3
+    assert [e["k"] for e in obj["ruleOuts"]] == [1, 2, 3, 4] and obj["dim"] == 7
+    witnesses = obj["ruleOuts"][-1]["witnesses"]
+    assert len(witnesses) == 16 and all(w["failureDegree"] > 3 for w in witnesses)
+    assert witnesses[0] == {"key": [0, 0, 0], "failureDegree": 4}
+    assert obj["ruleOuts"][2]["admissibleKey"] == [3, 0, 1]  # {x+c, x+c, x+c} passes at k = 3
+    assert "kMax" not in obj and obj["boundNotBelowPspan"] is True
 
 
 def test_cli_cohomology_smallest(capsys):
@@ -259,12 +261,12 @@ def test_cli_cohomology_smallest(capsys):
 # sha256 of `wallspan cohomology` output, text and --format json: the report
 # bytes are a contract, so a rework of the rule-out scan must leave them unchanged
 COHOMOLOGY_SHA256 = {
-    (2, 2, "text"): "cc26919917c5f24f1394fdf144d8b2fa694970ec7e9dd6a4c8f16e0e55a1b71e",
-    (2, 2, "json"): "bef37abbb0240b02f9d36a780b685ffb780d5ea0c80b4e0b1a79d87eceefd285",
-    (4, 5, "text"): "8727ac3d621979f77a2d6d69a1ede96e71a2ca977c224fd69b1256d2671b0125",
-    (4, 5, "json"): "c3f26e32d119e5bc0b9558b1eac7c5f024c41e53993d139b9e87408f069910be",
-    (10, 7, "text"): "3a2dd55966f3466542e407d1ccbe2c8b8e0f7083dd8aa80143c7762878943082",
-    (10, 7, "json"): "ef350619e468d73ba67eedc0f7421d768db5237e31efadca1b22f5c146ed5da7",
+    (2, 2, "text"): "35292fbff284d0a998b5738b42e2aac713479fbf15d55985dc4b901982c44010",
+    (2, 2, "json"): "4e0e6c72c37efceaae10bc5f8b17e998adbdc3e8436d4900eff28cd51c4c6a31",
+    (4, 5, "text"): "b43a8d28c010c7a5ace6ca2b944420b79e5d64b04a580611e5626dc2161b03e0",
+    (4, 5, "json"): "04807378b6006ca96d8db16ef3070cace6ed10b521e54b55deef34911e028672",
+    (10, 7, "text"): "e8d1b0a4804c73057705f31b064da5722748cb50cfbacef0b25fef5785f61092",
+    (10, 7, "json"): "b2aeaf4cf48337e213cb247b2cebf547fc5ed457fa20a1f07012b7019c966749",
 }
 
 
@@ -279,13 +281,13 @@ def test_cli_cohomology_golden(capsys, m, n, fmt):
 # reports share the envelope with `cohomology`; (2, 2) carries the even note
 REPORT_SHA256 = {
     ("clifford --n 1", "text"): "b22940c1b9514204454e196604d8fd4f0afdcdfef4e6a219819f392c856fd856",
-    ("clifford --n 1", "json"): "62384952d6092b549c01a7cc17109b9de8a63ac16279b4e063798c586684191d",
+    ("clifford --n 1", "json"): "db05d72d012acc6daee6ea9b9b8e5800b5204bb379dcb7eaf3a56b03b9efcaf3",
     ("clifford --n 7", "text"): "a40149b67aa76cab1616d332a2239051e38527cad4dea61779a5e50acac660c1",
-    ("clifford --n 7", "json"): "974f2adac2a9687099c682d1061b3bb6d2f3532d93e3c068e0457e15ea439396",
+    ("clifford --n 7", "json"): "53ade1c997430531dc93569c26fb1963c953a1c42a81681e08256be0e1a8bc14",
     ("invariants --m 2 --n 2", "text"): "83f48db6752e0f322da981532a0c85a03c1e4db1dc0b75d43efc381c63b328aa",
-    ("invariants --m 2 --n 2", "json"): "a21af8af47196d4c8fbe9486dcc271382fe5b1e1efdc7aea2aa8b827c47ca382",
+    ("invariants --m 2 --n 2", "json"): "80db647e77eb03cc31c42a3127d37b8f3229fd48b3446b56296251948cfe0a42",
     ("invariants --m 1 --n 3", "text"): "e0ac49d941056bf5acb7f27e943fd1e1a55dc9f1104c9aae16248d1cb5efdfbd",
-    ("invariants --m 1 --n 3", "json"): "a40371db83215c375dc188ee39711b5cbe2edd8d5dd1e4cf44eb152adeeaaccc",
+    ("invariants --m 1 --n 3", "json"): "3d6407903454521f5b4b3a11860090b786ddf8fcfd24ce36eed01b600b177fde",
 }
 
 
@@ -300,8 +302,8 @@ def test_cli_report_golden(capsys, args, fmt):
 # with the five float statistics removed: a numpy or BLAS version may move
 # their last bits, while every sign, rank, flag, w(Q), witness and hash stays
 FIELDS_SHA256 = {
-    42: "900ebd94ffdb751ee756870a5906cb56efe6c9af18044f628730ef6407cb5b6e",
-    7919: "b0467ee2b362c2554f40467755bbdc853c197e0ba24e7dad58382adc86b4dcf2",
+    42: "6e9c8b8a830b3c7f4caf120c3eabdf02bc434342889e3fd623c94f102bbfda12",
+    7919: "64775300c1c135f0bc1d24b2b9d027a8e7281a471f490fe2f2c306b069f4bcd6",
 }
 FLOAT_STATS = {
     "independence": ("minOfMinRelativeSv", "maxOfMinRelativeSv"),
@@ -331,24 +333,33 @@ def test_total_sw_json_matches_per_degree_render():
             assert harness.total_sw_json(c) == {"totalSw": c.render(), "totalSwByDegree": by_degree}, (m, n)
 
 
-def test_memoised_describe_matches_label_join():
-    config = CampaignConfig()
-    for m, n in itertools.product(config.m_values, config.n_values):
-        for last in f2cohomology.VirtualSwSearch(WallParams(m, n)).scan():
-            pass
-        for witness in last.witnesses:
-            labels = [[label] * count for label, count in zip(("0", "x", "c", "x+c"), witness.counts)]
-            expected = "{" + ", ".join(sum(labels, [])) + "}"
-            assert witness.describe() == witness.describe() == expected, (m, n, witness)
-
-
 def test_cli_clifford(capsys):
     assert main(["clifford", "--n", "1", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["matrixCount"] == 3
-    assert obj["allPassed"]
-    assert obj["predictedSigns"] == [-1, -1, 1]
-    assert obj["matrices"][0]["entries"] == [["i", "0"], ["0", "-i"]]
+    assert {k: obj[k] for k in CLIFFORD_SECTIONS[1]} == CLIFFORD_SECTIONS[1]  # the campaign's section
+    assert [g["sign"] for g in obj["generators"]] == [-1, -1, 1]
+    assert obj["generators"][0] == {"index": 1, "word": [0, 1, 1], "sign": -1}  # A_1 = iZ = diag(i, -i)
+
+
+@pytest.mark.parametrize("n", [1, 7, 95])
+def test_cli_clifford_json_words_decode_to_the_family(capsys, n):
+    # perm[r] = r XOR x and phase[r] = c + 2 parity(r AND z) mod 4, the clifford docstring
+    assert main(["clifford", "--n", str(n), "--format", "json"]) == 0
+    generators = json.loads(capsys.readouterr().out)["generators"]
+    family = build_family(n)
+    assert [g["index"] for g in generators] == list(range(1, family.count + 1))
+    assert tuple(g["sign"] for g in generators) == family.predicted_signs
+    rows = range(n + 1)
+    perm = [[r ^ g["word"][0] for r in rows] for g in generators]
+    phase = [[(g["word"][2] + 2 * (r & g["word"][1]).bit_count()) % 4 for r in rows] for g in generators]
+    assert family.perm.tolist() == perm
+    assert family.phase.tolist() == phase
+
+
+def test_cli_clifford_json_size_does_not_grow_with_n(capsys):
+    # the words, not (n+1)^2 entries per generator: 16.8 MB at n = 255 under schema v1
+    assert main(["clifford", "--n", "255", "--format", "json"]) == 0
+    assert len(capsys.readouterr().out.encode("utf-8")) < 10_000
 
 
 def test_cli_fields_byte_identical(capsys):
