@@ -28,7 +28,7 @@ delta = 2*nu(n+1) + m + 1 vector fields:
       xi_(2nu+j) = (0,  e_j - <v,e_j> v,  -i <v,e_j> lambda),   j = 2..m+1
 
 and checks tangency, the quasi-invariance signs under both involutions,
-representative-independence and linear independence via singular values.
+representative-independence and linear independence via the Gram matrix.
 The signs and representative-independence are one statement,
 dg(xi_j(P)) = s * xi_j(g(P)) with s = +-1, for g = sigma, tau or z -> omega z
 with omega an 8th root of unity (s = +1).  Each g is a real-linear isometry
@@ -41,7 +41,7 @@ are the reference implementation, one point and one field at a time; they
 spell out each differential on its own (`apply_differential`, the omega
 scaling in `check_well_defined`), so the tests check dg = g instead of
 assuming it.  The batched engine (`sample_batch`, `evaluate_batch`,
-`equivariance_signs`, `tangency_residuals_batch`, `svd_ranks`) evaluates all
+`equivariance_signs`, `tangency_residuals_batch`, `gram_ranks`) evaluates all
 delta fields at all S samples of a case into preallocated arrays
 w (S, delta, n+1), u (S, delta, m+1) and mu (S, delta).  These, and a batch's
 z and v, are views of arrays stored samples last, (delta, ., S) and (., S):
@@ -54,11 +54,16 @@ of (z, v, lambda) and of (w, u, mu), evaluates the fields afresh at g(P) and
 compares with `_all_within`, which is `tangent_distance <= tol` per (sample,
 field) and fails on NaN.  The tolerance comes with g (INVARIANCE_TOL for sigma
 and tau, TANGENCY_TOL for the roots), and the minus sign is sought only when
-some entry fails the plus check.  The images and the 8 roots are evaluated one
-call each: a (4, 7) case's traced peak is 0.86 MiB, and stacking them saved
-little and raised it to 2.6 MB or more.  A sample whose tangent matrix is not
-finite has rank 0 and never enters the SVD.  The tests hold the engine to the
-reference within 1e-12.
+some entry fails the plus check.  Each image and each root is one call.
+
+The frame is orthonormal, so `gram_ranks` decides the rank from G = M M^T, M a
+sample's (delta, K) tangent matrix, K = 2(n+1)+m+3.  With eps = max|G^ - I| +
+K 2^-52 max_j |row_j|^2 for the computed G^ (the second term bounds its rounding,
+Higham, Accuracy and Stability of Numerical Algorithms, 3.1), |G - I| <= eps
+entrywise, so by Weyl each sigma^2 of M lies within delta eps of 1: delta eps <
+1/2 proves rank delta and sigma_min/sigma_max >= sqrt((1 - delta eps)/(1 + delta
+eps)).  Other samples, NaN included, go to `svd_ranks`, where a non-finite matrix
+has rank 0.  The tests hold the engine to the reference within 1e-12.
 
 Each case (m, n) draws its samples from one RNG stream, `stream(seed, m, n)`.
 `sample_batch` takes the S points of a case in one standard_normal draw of
@@ -66,12 +71,7 @@ shape (S, 2(n+1) + m+1 + 2), one row per point: Re z, Im z, v and a Gaussian
 pair (a, b) with lambda = (a + ib)/|a + ib|, uniform on S^1.  That is byte
 for byte what S successive `sample_point` calls on the stream give.  The draw
 is prefix-stable: the first k rows of an S-point draw are the k-point draw,
-so sample i is the last point of `sample_batch(n, m, seed, i + 1)`.  The
-norms are the dot products that `np.linalg.norm` takes, one per row, computed
-as one stacked matmul (S, 1, k) @ (S, k, 1) on the same strided views of
-Re z, Im z and v: that gives the bytes of the per-row dots, while a batched sum
-of squares, or the same matmul on contiguous copies, rounds differently in the
-last bit.
+so sample i is the last point of `sample_batch(n, m, seed, i + 1)`.
 
 numpy is loaded on first numeric use, as in `clifford`: importing this
 module does not run numpy's code, and `invariants` and `cohomology` never do.
@@ -490,3 +490,23 @@ def svd_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):
         rel[finite] = np.where(top == 0.0, 0.0, sv[:, -1] / top)
     return ranks, rel
+
+
+def gram_ranks(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """svd_ranks' ranks, proved from G = M M^T where it can (see above): (ranks, rel, max|G - I|,
+    by_svd), rel the proved bound on sigma_min/sigma_max or svd_ranks' ratio; NaN deviation: M not finite."""
+    count, delta, width = mats.shape
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, overflow: such samples take the SVD
+        gram = mats @ mats.transpose(0, 2, 1)
+    diag = np.einsum("sjj->sj", gram)  # a writeable view of each G_jj
+    eps = width * 2.0**-52 * diag.max(axis=1)  # bounds the rounding of each G_jk
+    diag -= 1.0
+    deviation = np.abs(gram).max(axis=(1, 2))
+    eps = delta * (eps + deviation)
+    by_svd = ~(eps < 0.5)  # NaN fails
+    ranks = np.full(count, delta, dtype=np.intp)
+    rel = np.sqrt((1.0 - np.fmin(eps, 1.0)) / (1.0 + eps))
+    if by_svd.any():
+        ranks[by_svd], rel[by_svd] = svd_ranks(mats[by_svd])
+        deviation[by_svd & ~np.isfinite(mats).all(axis=(1, 2))] = np.nan
+    return ranks, rel, deviation, by_svd

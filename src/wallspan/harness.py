@@ -186,10 +186,11 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     t0 = time.perf_counter()
     base = fl.evaluate_batch(points, family)
     max_residuals = [float(r.max()) for r in fl.tangency_residuals_batch(points, base)]
-    ranks, rel = fl.svd_ranks(base.matrix())
+    ranks, rel, deviation, by_svd = fl.gram_ranks(base.matrix())
     ranks_ok = bool((ranks == delta).all())
     min_rel_sv = float(rel.min())
     max_rel_sv = float(rel.max())
+    max_gram_dev = max((d for d in deviation.tolist() if not math.isnan(d)), default=math.nan)
     timings.independence += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -268,6 +269,8 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
             "rankOk": ranks_ok,
             "minOfMinRelativeSv": _finite_or_none(min_rel_sv),
             "maxOfMinRelativeSv": _finite_or_none(max_rel_sv),
+            "svdFallbacks": int(by_svd.sum()),
+            "maxGramDeviation": _finite_or_none(max_gram_dev),
             "claim": "the delta stacked tangent vectors have rank delta at every sample",
         },
         "tangency": {

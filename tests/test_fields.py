@@ -25,6 +25,7 @@ from wallspan.fields import (
     evaluate_batch,
     evaluate_field,
     expected_quasi_sign,
+    gram_ranks,
     quasi_invariance_sign,
     sample_batch,
     sample_point,
@@ -431,6 +432,7 @@ def _assert_engine_matches_reference(m, family):
     roots = [equivariance_signs(omega, batch, fields, family) for omega in EIGHTH_ROOTS]
     mats = fields.matrix()
     ranks, rel = svd_ranks(mats)
+    by_svd = _assert_gram_ranks_match_svd(mats)
     for s, p in enumerate(points):
         tangents = [evaluate_field(j, p, family) for j in range(1, delta + 1)]
         mat = tangent_matrix(tangents)
@@ -448,7 +450,7 @@ def _assert_engine_matches_reference(m, family):
                 assert signs[kind][s, j - 1] == (quasi_invariance_sign(j, kind, p, family) or 0)
             for omega, root_signs in zip(EIGHTH_ROOTS, roots):
                 assert (root_signs[s, j - 1] == 1) == check_well_defined(j, p, family, omega)
-    return signs, roots
+    return signs, roots, by_svd
 
 
 @pytest.mark.parametrize("m,n", ENGINE_GRID)
@@ -461,8 +463,9 @@ def test_batched_engine_matches_reference_on_broken_family():
     # sigma-sign, so both paths must report the same missing signs
     family = build_family(3)
     broken = times_i(family, 1)
-    signs, _ = _assert_engine_matches_reference(2, broken)
+    signs, _, by_svd = _assert_engine_matches_reference(2, broken)
     assert (signs[SIGMA][:, 0] != expected_quasi_sign(1, SIGMA, family.nu, 2)).all()
+    assert by_svd.all()  # i*A_1 z is not orthogonal to the other fields: |G - I| is far from 0
 
 
 def test_batched_engine_rejects_mismatched_family():
@@ -543,6 +546,66 @@ def test_svd_ranks_non_finite_matrix_is_rank_zero():
     ranks, rel = svd_ranks(mats)
     assert ranks.tolist() == [3, 0, 0]
     assert rel[0] == 1.0 and np.isnan(rel[1:]).all()
+    ranks, rel, deviation, by_svd = gram_ranks(mats)
+    assert ranks.tolist() == [3, 0, 0] and by_svd.tolist() == [False, True, True]
+    assert 0.999 < rel[0] <= 1.0 and np.isnan(rel[1:]).all()
+    assert deviation[0] == 0.0 and np.isnan(deviation[1:]).all()
+
+
+# -- criterion 3 from the Gram matrix, against the SVD ----------------------------
+
+
+def _assert_gram_ranks_match_svd(mats):
+    """gram_ranks against svd_ranks on one stack; returns which samples took the SVD.
+
+    Every rank is the SVD's; a fallback sample carries the SVD's ratio byte for
+    byte, and a Gram-decided one a bound that the SVD's ratio does not undercut.
+    """
+    ranks, rel, deviation, by_svd = gram_ranks(mats)
+    svd_rank_of, svd_rel = svd_ranks(mats)
+    assert np.array_equal(ranks, svd_rank_of)
+    assert rel[by_svd].tobytes() == svd_rel[by_svd].tobytes()
+    assert (ranks[~by_svd] == mats.shape[1]).all()
+    assert (rel[~by_svd] <= svd_rel[~by_svd]).all()
+    assert (deviation[~by_svd] < 0.5 / mats.shape[1]).all()
+    assert np.array_equal(np.isnan(deviation), ~np.isfinite(mats).all(axis=(1, 2)))
+    return by_svd
+
+
+@pytest.mark.parametrize("seed", [42, 7919])
+def test_gram_ranks_decide_the_default_grid(seed):
+    # the default grid: every sample decided by the Gram bound, every rank the SVD's
+    config = CampaignConfig(seed=seed)
+    for m, n in itertools.product(config.m_values, config.n_values):
+        points = sample_batch(n, m, seed, config.samples_per_case)
+        by_svd = _assert_gram_ranks_match_svd(evaluate_batch(points, build_family(n)).matrix())
+        assert not by_svd.any(), (m, n)
+
+
+def test_gram_ranks_fall_back_on_broken_stacks():
+    # a duplicated row and a zero row drop the rank; a row scaled by 2 keeps full
+    # rank but is not orthonormal: all three take the SVD, the rest do not
+    mats = evaluate_batch(sample_batch(3, 2, 42, 5), build_family(3)).matrix()
+    mats[0, 1] = mats[0, 0]
+    mats[1, 2] = 0.0
+    mats[2, 0] *= 2.0
+    by_svd = _assert_gram_ranks_match_svd(mats)
+    assert by_svd.tolist() == [True, True, True, False, False]
+    assert gram_ranks(mats)[0].tolist() == [6, 6, 7, 7, 7]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_gram_bound_never_claims_more_than_the_svd(delta, extra, seed):
+    # orthonormal rows plus noise whose size straddles delta*eps = 1/2: wherever
+    # the bound decides, the SVD finds rank delta and a ratio at least the bound
+    rng = np.random.default_rng(seed)
+    width = delta + extra
+    q = np.linalg.qr(rng.standard_normal((64, width, delta)))[0].transpose(0, 2, 1)
+    scale = 10.0 ** rng.uniform(-2.5, 0.0, (64, 1, 1)) / delta
+    mats = q + scale * rng.standard_normal(q.shape)
+    by_svd = _assert_gram_ranks_match_svd(mats)
+    assert by_svd.any() and not by_svd.all()
 
 
 # -- the engine's one comparison, _all_within, against tangent_distance -----------

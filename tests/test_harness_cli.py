@@ -140,6 +140,7 @@ def test_duplicated_matrix_fails_rank(monkeypatch):
     _use_family(monkeypatch, duplicate_word(build_family(1), 1, 2))
     record, _ = run_case(2, 1, SMALL)
     assert not record["independence"]["rankOk"]
+    assert record["independence"]["svdFallbacks"] == SMALL.samples_per_case
     assert not record["passed"]
 
 
@@ -299,14 +300,15 @@ def test_cli_report_golden(capsys, args, fmt):
 
 
 # sha256 of `wallspan fields --seed S --format json` on the default grid, taken
-# with the five float statistics removed: a numpy or BLAS version may move
-# their last bits, while every sign, rank, flag, w(Q), witness and hash stays
+# with the six float statistics removed: a numpy or BLAS version may move
+# their last bits, while every sign, rank, fallback count, flag, w(Q), witness
+# and hash stays
 FIELDS_SHA256 = {
-    42: "6e9c8b8a830b3c7f4caf120c3eabdf02bc434342889e3fd623c94f102bbfda12",
-    7919: "64775300c1c135f0bc1d24b2b9d027a8e7281a471f490fe2f2c306b069f4bcd6",
+    42: "4b2c268d4ce9aeec0d315fa2bf3a50e9e99912ebc05b19df950ff0c754aff8c9",
+    7919: "efd8f29f52883d64c7185322720c4d2612bd7644eb02daf598df0592e78f2d9b",
 }
 FLOAT_STATS = {
-    "independence": ("minOfMinRelativeSv", "maxOfMinRelativeSv"),
+    "independence": ("minOfMinRelativeSv", "maxOfMinRelativeSv", "maxGramDeviation"),
     "tangency": ("maxResidualZW", "maxResidualVU", "maxResidualLambdaMu"),
 }
 
@@ -412,6 +414,8 @@ def test_cli_non_finite_field_fails_its_case(capsys, monkeypatch):
     assert main(argv + ["--format", "json"]) == 1
     case = json.loads(capsys.readouterr().out)["cases"][0]
     assert case["independence"]["minOfMinRelativeSv"] is None
+    assert case["independence"]["svdFallbacks"] == 1  # the other 4 samples are finite and Gram-decided
+    assert 0.0 <= case["independence"]["maxGramDeviation"] < 1e-14
     assert case["tangency"]["maxResidualLambdaMu"] is None
     assert not case["tangency"]["passed"] and not case["independence"]["rankOk"]
     assert main(["accept"]) == 1
