@@ -6,6 +6,7 @@ constants of `fields` or the grid that `wallspan accept` runs.
 1. exact Clifford identities for n = 0..16, under 1 second;
 2. quasi-invariance sign tables over the default grid, within INVARIANCE_TOL;
 3. rank delta at every sampled point (relative SVD threshold RANK_REL_TOL),
+   decided by the Gram matrix's bound with the SVD only as the fallback,
    under 10 seconds of independence work for the grid;
 4. tangency residuals <= TANGENCY_TOL and representative independence for
    the 8th roots of unity;

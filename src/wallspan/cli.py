@@ -2,32 +2,32 @@
 
 Subcommands: `invariants`, `cohomology`, `clifford`, `fields`, `accept`.
 Exit codes: 0 = all checks passed, 1 = a verification check failed,
-2 = usage error (bad flags, parameter ranges or WALLSPAN_SEED, raised as
-`UsageError`).  Any other error is not a usage error: it propagates with its
-traceback (exit 1).  The seed defaults to the WALLSPAN_SEED environment
-variable when set, else 42; identical configurations produce byte-identical JSON reports.  `accept`
-always runs the default grid, so its only inputs are the seed and the format.
+2 = usage error (bad flags or parameter ranges, raised as `UsageError`).  Any
+other error is not a usage error: it propagates with its traceback (exit 1).
+This module only parses flags, renders reports and sets exit codes: the
+checks, their verdicts and the defaults of `fields` and `accept` (grid,
+samples and seed) come from `harness.CampaignConfig` and the `harness`
+builders.  Identical configurations produce byte-identical JSON reports.
+`accept` always runs the default grid, so its only inputs are the seed and
+the format.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, Callable, Sequence
 
 from .acceptance import run_acceptance
-from .f2cohomology import VirtualSwSearch
 from .harness import (
-    DEFAULT_SEED,
     CampaignConfig,
     clifford_for,
     formula_record,
+    obstruction_check,
     render_campaign_text,
     report_envelope,
     report_to_json,
     run_campaign,
-    total_sw_json,
     witnesses_json,
 )
 from .invariants import WallParams, pspan_wall
@@ -37,7 +37,7 @@ CHECK_FAILED = 1
 
 
 class UsageError(ValueError):
-    """A bad flag value, parameter range or WALLSPAN_SEED: exit code 2."""
+    """A bad flag value or parameter range: exit code 2."""
 
 
 def validated(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -64,14 +64,6 @@ def parse_int_spec(spec: str) -> tuple[int, ...]:
     if not values:
         raise ValueError(f"empty spec {spec!r}")
     return tuple(values)
-
-
-def default_seed() -> int:
-    env = os.environ.get("WALLSPAN_SEED") or str(DEFAULT_SEED)
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"WALLSPAN_SEED must be an integer, got {env!r}") from None
 
 
 def emit(obj: dict[str, Any], fmt: str, text: str) -> None:
@@ -120,20 +112,19 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_cohomology(args: argparse.Namespace) -> int:
     p = validated(WallParams, args.m, args.n)
     pspan = pspan_wall(p)
-    search = VirtualSwSearch(p)
+    obstruction = obstruction_check(p, pspan)
     rule_outs = []
-    for last in search.scan():
+    for result in obstruction.scan:
         entry: dict[str, Any] = {
-            "k": last.k,
-            "ruledOut": last.ruled_out,
-            "maxAllowedDegree": last.max_allowed_degree,
+            "k": result.k,
+            "ruledOut": result.ruled_out,
+            "maxAllowedDegree": result.max_allowed_degree,
         }
-        if last.ruled_out:
-            entry["witnesses"] = witnesses_json(last.witnesses)
+        if result.ruled_out:
+            entry["witnesses"] = witnesses_json(result.witnesses)
         else:
-            entry["admissibleKey"] = next(list(key) for key, failure in last.witnesses if failure is None)
+            entry["admissibleKey"] = next(list(key) for key, failure in result.witnesses if failure is None)
         rule_outs.append(entry)
-    bound_ok = last.bound >= pspan
 
     obj: dict[str, Any] = {
         **report_envelope("cohomology"),
@@ -141,10 +132,10 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         "n": p.n,
         "dim": p.dim,
         "pspan": pspan,
-        **total_sw_json(search.w),
+        **obstruction.total_sw,
         "ruleOuts": rule_outs,
-        "swUpperBound": last.bound,
-        "boundNotBelowPspan": bound_ok,
+        "swUpperBound": obstruction.bound,
+        "boundNotBelowPspan": obstruction.bound_ok,
     }
     lines = [f"w(Q({p.m},{p.n})) = {obj['totalSw']}"]
     for piece in obj["totalSwByDegree"]:
@@ -157,9 +148,9 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
             )
         else:
             lines.append(f"k = {entry['k']:2d}: admissible, passing key {tuple(entry['admissibleKey'])}")
-    lines.append(f"sw upper bound = {last.bound} (pspan = {pspan})")
+    lines.append(f"sw upper bound = {obstruction.bound} (pspan = {pspan})")
     emit(obj, args.format, "\n".join(lines) + "\n")
-    return 0 if bound_ok else CHECK_FAILED
+    return 0 if obstruction.bound_ok else CHECK_FAILED
 
 
 def cmd_clifford(args: argparse.Namespace) -> int:
@@ -192,13 +183,12 @@ def cmd_clifford(args: argparse.Namespace) -> int:
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
-    config = validated(
-        CampaignConfig,
-        m_values=validated(parse_int_spec, args.m),
-        n_values=validated(parse_int_spec, args.n),
-        samples_per_case=args.samples,
-        seed=args.seed,
-    )
+    grid = {  # a flag left out keeps the CampaignConfig default
+        name: validated(parse_int_spec, spec)
+        for name, spec in (("m_values", args.m), ("n_values", args.n))
+        if spec is not None
+    }
+    config = validated(CampaignConfig, **grid, samples_per_case=args.samples, seed=args.seed)
     result = run_campaign(config)
     emit(result.report, args.format, render_campaign_text(result.report))
     return 0 if result.passed else CHECK_FAILED
@@ -223,8 +213,9 @@ def cmd_accept(args: argparse.Namespace) -> int:
     return 0 if result.passed else CHECK_FAILED
 
 
-def _add_format(sub: argparse.ArgumentParser) -> None:
+def _finish(sub: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int]) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,40 +228,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = subparsers.add_parser("invariants", help="closed-form invariants for one (m, n)")
     p_inv.add_argument("--m", type=int, required=True)
     p_inv.add_argument("--n", type=int, required=True)
-    _add_format(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
+    _finish(p_inv, cmd_invariants)
 
     p_coh = subparsers.add_parser("cohomology", help="total SW class and obstruction bound")
     p_coh.add_argument("--m", type=int, required=True)
     p_coh.add_argument("--n", type=int, required=True)
-    _add_format(p_coh)
-    p_coh.set_defaults(func=cmd_cohomology)
+    _finish(p_coh, cmd_cohomology)
 
     p_cl = subparsers.add_parser("clifford", help="build and verify the Clifford family")
     p_cl.add_argument("--n", type=int, required=True)
-    _add_format(p_cl)
-    p_cl.set_defaults(func=cmd_clifford)
+    _finish(p_cl, cmd_clifford)
 
-    seed = default_seed()
+    defaults = CampaignConfig()
     p_f = subparsers.add_parser("fields", help="sampled verification campaign over a grid")
-    p_f.add_argument("--m", default="1:4", help="m values: '2', '1:4' or '1,3'")
-    p_f.add_argument("--n", default="0:8", help="n values: '2', '0:8' or '0,2,4'")
-    p_f.add_argument("--samples", type=int, default=100)
-    p_f.add_argument("--seed", type=int, default=seed)
-    _add_format(p_f)
-    p_f.set_defaults(func=cmd_fields)
+    p_f.add_argument("--m", help="m values: '2', '1:4' or '1,3'")
+    p_f.add_argument("--n", help="n values: '2', '0:8' or '0,2,4'")
+    p_f.add_argument("--samples", type=int, default=defaults.samples_per_case)
+    p_f.add_argument("--seed", type=int, default=defaults.seed)
+    _finish(p_f, cmd_fields)
 
     p_a = subparsers.add_parser("accept", help="run the acceptance suite on the default grid")
-    p_a.add_argument("--seed", type=int, default=seed)
-    _add_format(p_a)
-    p_a.set_defaults(func=cmd_accept)
+    p_a.add_argument("--seed", type=int, default=defaults.seed)
+    _finish(p_a, cmd_accept)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # reads WALLSPAN_SEED
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,11 +21,10 @@ from typing import Any
 
 from . import fields as fl
 from .clifford import CliffordFamily, build_family, verify_family
-from .f2cohomology import GradedF2Poly, VirtualSwSearch, Witness
+from .f2cohomology import GradedF2Poly, RuleOutResult, VirtualSwSearch, Witness
 from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 2
-DEFAULT_SEED = 42
 
 EIGHTH_ROOTS = tuple(
     complex(math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0)) for k in range(8)
@@ -39,7 +38,7 @@ class CampaignConfig:
     m_values: tuple[int, ...] = (1, 2, 3, 4)
     n_values: tuple[int, ...] = tuple(range(9))
     samples_per_case: int = 100
-    seed: int = DEFAULT_SEED
+    seed: int = 42
 
     def __post_init__(self) -> None:
         if not self.m_values or not self.n_values:
@@ -115,11 +114,8 @@ class CaseTimings:
     cohomology: float = 0.0
 
     def add(self, other: CaseTimings) -> None:
-        self.sampling += other.sampling
-        self.signs += other.signs
-        self.well_defined += other.well_defined
-        self.independence += other.independence
-        self.cohomology += other.cohomology
+        for name, seconds in vars(other).items():
+            setattr(self, name, getattr(self, name) + seconds)
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -137,6 +133,26 @@ def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
 def witnesses_json(witnesses: tuple[Witness, ...]) -> list[dict[str, Any]]:
     """A rule-out result's witnesses: each key [s, k1 mod 2, k3 mod 2] with its failure degree."""
     return [{"key": list(key), "failureDegree": failure} for key, failure in witnesses]
+
+
+@dataclass
+class Obstruction:
+    """The mod-2 obstruction check of one Q(m, n), as both `run_case` and
+    `wallspan cohomology` report it."""
+
+    w: GradedF2Poly
+    total_sw: dict[str, Any]  # the report's totalSw and totalSwByDegree entries
+    scan: tuple[RuleOutResult, ...]  # rule_out(k) for k = 1, 2, ... up to the first ruled-out k
+    bound: int
+    bound_ok: bool  # bound >= pspan
+
+
+def obstruction_check(params: WallParams, pspan: int) -> Obstruction:
+    """w(Q) and its rendering, the rule-out scan, the bound it certifies and bound >= pspan."""
+    search = VirtualSwSearch(params)
+    scan = tuple(search.scan())
+    bound = scan[-1].bound
+    return Obstruction(search.w, total_sw_json(search.w), scan, bound, bound >= pspan)
 
 
 def formula_record(params: WallParams) -> dict[str, Any]:
@@ -228,27 +244,25 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
 
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()
-    search = VirtualSwSearch(params)
-    for last in search.scan():
-        pass
-    w, upper = search.w, last.bound
+    obstruction = obstruction_check(params, pspan)
     timings.cohomology += time.perf_counter() - t0
 
+    last = obstruction.scan[-1]
     cohomology_record = {
-        **total_sw_json(w),
-        "swUpperBound": upper,
+        **obstruction.total_sw,
+        "swUpperBound": obstruction.bound,
         "ruledOutAtK": last.k if last.ruled_out else None,
         "ruleOutWitnesses": witnesses_json(last.witnesses) if last.ruled_out else [],
         "checks": [
             _check(
                 "sw_bound_not_below_pspan",
                 "the mod-2 obstruction bound is >= the true projective span",
-                upper >= pspan,
+                obstruction.bound_ok,
             ),
             _check(
                 "top_degree_sw_vanishes",
                 "w_dim(Q) = 0 (the mod-2 Euler class of a mapping torus vanishes)",
-                w.component(params.dim).is_zero(),
+                obstruction.w.component(params.dim).is_zero(),
             ),
         ],
     }

@@ -326,6 +326,21 @@ def test_cli_fields_golden(capsys, seed):
     assert hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest() == FIELDS_SHA256[seed]
 
 
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 2), (4, 5)])
+def test_case_and_cohomology_report_share_the_obstruction(capsys, m, n):
+    # a campaign case and `wallspan cohomology` take w(Q), the scan, the bound
+    # and its verdict from the one harness.obstruction_check
+    record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
+    assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    case, last = record["cohomology"], report["ruleOuts"][-1]
+    for key in ("totalSw", "totalSwByDegree", "swUpperBound"):
+        assert case[key] == report[key], key
+    assert case["ruledOutAtK"] == (last["k"] if last["ruledOut"] else None)
+    assert case["ruleOutWitnesses"] == last.get("witnesses", [])
+    assert case["checks"][0]["passed"] is report["boundNotBelowPspan"] is True
+
+
 def test_total_sw_json_matches_per_degree_render():
     # the one-pass serialisation against the per-degree form it replaced
     for m, n in itertools.product(range(1, 9), range(17)):
@@ -375,11 +390,22 @@ def test_cli_fields_byte_identical(capsys):
     assert obj["summary"]["allPassed"]
 
 
-def test_cli_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("WALLSPAN_SEED", "123")
-    argv = ["fields", "--m", "1", "--n", "0", "--samples", "2", "--format", "json"]
+def test_cli_fields_defaults_are_the_campaign_config(capsys):
+    # the default grid, samples and seed are written once, in CampaignConfig
+    assert main(["fields", "--format", "json"]) == 0
+    assert capsys.readouterr().out == report_to_json(run_campaign(CampaignConfig()).report)
+
+
+def test_cli_ignores_wallspan_seed(capsys, monkeypatch):
+    # --seed is the one way to set the seed; the environment changes no report
+    argv = ["accept", "--format", "json"]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 123
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("WALLSPAN_SEED", "7")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    monkeypatch.setenv("WALLSPAN_SEED", "abc")
+    assert main(["invariants", "--m", "1", "--n", "0"]) == 0
 
 
 def test_cli_unknown_command():
@@ -472,21 +498,9 @@ def test_cli_rejects_removed_flags():
         assert exc.value.code == 2
 
 
-def test_cli_rejects_bad_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("WALLSPAN_SEED", "abc")
-    for argv in (["invariants", "--m", "1", "--n", "0"], ["fields", "--m", "1", "--n", "0"]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "WALLSPAN_SEED" in err
-
-
-def test_cli_rejects_negative_seed(capsys, monkeypatch):
+def test_cli_rejects_negative_seed(capsys):
     expected = "error: seed must be >= 0, got -1\n"
     for argv in (["fields", "--seed", "-1"], ["accept", "--seed", "-1"]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == expected
-    monkeypatch.setenv("WALLSPAN_SEED", "-1")
-    for argv in (["fields"], ["accept"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == expected
 
