@@ -20,7 +20,7 @@ constants of `fields` or the grid that `wallspan accept` runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clifford import build_family
 from .f2cohomology import VirtualSwSearch
@@ -53,8 +53,7 @@ RULE_OUT_M_VALUES = (1, 2, 3, 4)
 RULE_OUT_N_VALUES = (2, 4)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     title: str
     passed: bool
@@ -67,8 +66,7 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid}: {self.title} -- {self.details} ({self.elapsed:.3f}s)"
 
 
-@dataclass
-class AcceptanceResult:
+class AcceptanceResult(NamedTuple):
     criteria: tuple[CriterionResult, ...]
     campaign: CampaignResult
 

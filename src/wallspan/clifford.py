@@ -40,9 +40,9 @@ which never build a family, never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from ._lazynp import lazy_numpy
 from .invariants import nu as nu_of
@@ -110,26 +110,35 @@ def predicted_sign(j: int, nu: int) -> int:
     return -1 if ((j - 1) // 2) % 2 == 0 else 1
 
 
-@dataclass(frozen=True)
 class CliffordFamily:
     """The 2*nu(n+1) + 1 automorphisms of C^(n+1) with their conjugation signs.
 
     `words[j - 1]` is A_j's Pauli word (x_j, z_j, c_j).  The stacked
     (count, n + 1) arrays `perm` and `phase` (row j - 1 is A_j), their units
     and the GaussMatrix rows follow from the words, built on first use.
+    Immutable; families compare and hash by (n, words, predicted_signs).
     """
 
-    n: int
-    words: tuple[tuple[int, int, int], ...]
-    predicted_signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.predicted_signs) != len(self.words):
-            raise ValueError(f"need one sign per word, got {len(self.predicted_signs)} for {len(self.words)}")
-        block = 1 << self.nu  # r ^ x must stay in r's block of 2^nu rows: every row a permutation
-        for j, (x, _, _) in enumerate(self.words, start=1):
+    def __init__(
+        self, n: int, words: tuple[tuple[int, int, int], ...], predicted_signs: tuple[int, ...]
+    ) -> None:
+        if len(predicted_signs) != len(words):
+            raise ValueError(f"need one sign per word, got {len(predicted_signs)} for {len(words)}")
+        block = 1 << nu_of(n + 1)  # r ^ x must stay in r's block of 2^nu rows: every row a permutation
+        for j, (x, _, _) in enumerate(words, start=1):
             if not 0 <= x < block:
                 raise ValueError(f"word {j}: need 0 <= x < 2^nu = {block}, got x = {x}")
+        vars(self).update(n=n, words=words, predicted_signs=predicted_signs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CliffordFamily is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        key = (self.n, self.words, self.predicted_signs)
+        return isinstance(other, CliffordFamily) and key == (other.n, other.words, other.predicted_signs)
+
+    def __hash__(self) -> int:
+        return hash(self.words)  # equal families have equal words
 
     @property
     def nu(self) -> int:
@@ -188,8 +197,7 @@ def build_family(n: int) -> CliffordFamily:
     return CliffordFamily(n, tuple(words), tuple(predicted_sign(j, v) for j in gens))
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """The verdict of each identity, `checks[i]` for the identity named `names[i]`."""
 
     n: int

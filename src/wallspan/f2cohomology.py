@@ -37,7 +37,6 @@ with binomial coefficients; none of the three shares code with it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from typing import Callable, Iterable, Iterator
@@ -57,21 +56,31 @@ def _bits(h: int) -> list[int]:
     return [match.start() for match in re.finditer("1", bin(h)[:1:-1])]
 
 
-@dataclass(frozen=True)
 class WallRing:
     """H^*(Q(m, n); F_2) on the basis x^e c^i d^j, e <= 1, i <= m, j <= n.
 
     m = 0 is rejected: the relation c^(m+1) = c^m x would collapse c onto x.
+    Immutable; rings compare and hash by (m, n).
     """
 
-    m: int
-    n: int
+    def __init__(self, m: int, n: int) -> None:
+        if m < 1:
+            raise ValueError(f"the Wall ring needs m >= 1, got m = {m}")
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        vars(self).update(m=m, n=n)
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"the Wall ring needs m >= 1, got m = {self.m}")
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got {self.n}")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"WallRing is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, WallRing) and (self.m, self.n) == (other.m, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n))
+
+    def __repr__(self) -> str:
+        return f"WallRing(m={self.m}, n={self.n})"
 
     @property
     def top_degree(self) -> int:
@@ -157,13 +166,28 @@ def wall_presentation(m: int, n: int) -> WallRing:
     return WallRing(m, n)
 
 
-@dataclass(frozen=True, slots=True)
 class GradedF2Poly:
-    """Element of a `WallRing`: its x^0 and x^1 parts h0 and h1, bit-packed."""
+    """Element of a `WallRing`: its x^0 and x^1 parts h0 and h1, bit-packed.
 
-    ring: WallRing
-    h0: int
-    h1: int
+    Immutable; elements compare and hash by (ring, h0, h1).
+    """
+
+    __slots__ = ("ring", "h0", "h1")
+
+    def __init__(self, ring: WallRing, h0: int, h1: int) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GradedF2Poly is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        key = (self.ring, self.h0, self.h1)
+        return isinstance(other, GradedF2Poly) and key == (other.ring, other.h0, other.h1)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.h0, self.h1))
 
     def _same_ring(self, other: GradedF2Poly) -> WallRing:
         if self.ring != other.ring:
@@ -232,14 +256,18 @@ def total_sw_wall(p: WallParams) -> GradedF2Poly:
 
 # -- the virtual Stiefel-Whitney obstruction ------------------------------------
 
-@dataclass(frozen=True)
 class RuleOutResult:
     """Whether k independent line fields are impossible, decided on the memo keys."""
 
-    k: int
-    ruled_out: bool
-    max_allowed_degree: int
-    failure_degree: Callable[[Key, int], int | None] = field(repr=False, compare=False)
+    def __init__(
+        self, k: int, ruled_out: bool, max_allowed_degree: int, failure_degree: Callable[[Key, int], int | None]
+    ) -> None:
+        vars(self).update(
+            k=k, ruled_out=ruled_out, max_allowed_degree=max_allowed_degree, failure_degree=failure_degree
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RuleOutResult is immutable: cannot assign {name!r}")
 
     @property
     def bound(self) -> int:

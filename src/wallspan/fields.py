@@ -79,8 +79,8 @@ module does not run numpy's code, and `invariants` and `cohomology` never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._lazynp import lazy_numpy
 from .clifford import CliffordFamily, predicted_sign
@@ -99,18 +99,19 @@ class InvolutionKind(str, Enum):
     TAU = "tau"
 
 
-@dataclass(frozen=True)
 class TotalSpacePoint:
-    """A point (z, v, lambda) of S^(2n+1) x S^m x S^1, unit norms within 1e-12."""
+    """A point (z, v, lambda) of S^(2n+1) x S^m x S^1, unit norms within 1e-12.  Immutable."""
 
-    z: np.ndarray
-    v: np.ndarray
-    lam: complex
+    __slots__ = ("z", "v", "lam")
 
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=np.complex128)
-        v = np.asarray(self.v, dtype=np.float64)
-        lam = complex(self.lam)
+    def __init__(self, z: np.ndarray, v: np.ndarray, lam: complex) -> None:
+        self.__post_init__(z, v, lam)
+
+    def __post_init__(self, z: np.ndarray, v: np.ndarray, lam: complex) -> None:
+        """Check and store the point; `perfbench/tracer.py` counts the points built by its calls."""
+        z = np.asarray(z, dtype=np.complex128)
+        v = np.asarray(v, dtype=np.float64)
+        lam = complex(lam)
         if z.ndim != 1 or v.ndim != 1 or z.size == 0 or v.size == 0:
             raise ValueError("z and v must be nonempty vectors")
         if abs(np.vdot(z, z).real - 1.0) > POINT_TOL:
@@ -123,6 +124,9 @@ class TotalSpacePoint:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "lam", lam)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TotalSpacePoint is immutable: cannot assign {name!r}")
+
     @property
     def n(self) -> int:
         return self.z.size - 1
@@ -132,18 +136,18 @@ class TotalSpacePoint:
         return self.v.size - 1
 
 
-@dataclass(frozen=True)
 class AmbientTangent:
-    """Ambient tangent triple (w, u, mu) anchored at some TotalSpacePoint."""
+    """Ambient tangent triple (w, u, mu) anchored at some TotalSpacePoint.  Immutable."""
 
-    w: np.ndarray
-    u: np.ndarray
-    mu: complex
+    __slots__ = ("w", "u", "mu")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=np.complex128))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
-        object.__setattr__(self, "mu", complex(self.mu))
+    def __init__(self, w: np.ndarray, u: np.ndarray, mu: complex) -> None:
+        object.__setattr__(self, "w", np.asarray(w, dtype=np.complex128))
+        object.__setattr__(self, "u", np.asarray(u, dtype=np.float64))
+        object.__setattr__(self, "mu", complex(mu))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"AmbientTangent is immutable: cannot assign {name!r}")
 
     def __neg__(self) -> AmbientTangent:
         return AmbientTangent(-self.w, -self.u, -self.mu)
@@ -334,8 +338,7 @@ def svd_rank(mat: np.ndarray) -> tuple[int, float]:
 # not quasi-invariant or not representative-independent is caught.
 
 
-@dataclass(frozen=True)
-class PointBatch:
+class PointBatch(NamedTuple):
     """S points stacked: z (S, n+1) complex, v (S, m+1) real, lam (S,) complex."""
 
     z: np.ndarray
@@ -382,8 +385,7 @@ def sample_batch(n: int, m: int, seed: int, count: int) -> PointBatch:
     return points
 
 
-@dataclass(frozen=True)
-class FieldBatch:
+class FieldBatch(NamedTuple):
     """All delta fields at S points: w (S, delta, n+1), u (S, delta, m+1), mu (S, delta)."""
 
     w: np.ndarray

@@ -11,13 +11,11 @@ keyed by the seed and the case coordinates (m, n) only).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import fields as fl
 from .clifford import CliffordFamily, build_family, verify_family
@@ -31,29 +29,43 @@ EIGHTH_ROOTS = tuple(
 )
 
 
-@dataclass(frozen=True)
 class CampaignConfig:
-    """Grid, sampling budget and seed of a verification campaign."""
+    """Grid, sampling budget and seed of a verification campaign.  Immutable;
+    configs compare and hash by their four fields."""
 
-    m_values: tuple[int, ...] = (1, 2, 3, 4)
-    n_values: tuple[int, ...] = tuple(range(9))
-    samples_per_case: int = 100
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if not self.m_values or not self.n_values:
+    def __init__(
+        self,
+        m_values: tuple[int, ...] = (1, 2, 3, 4),
+        n_values: tuple[int, ...] = tuple(range(9)),
+        samples_per_case: int = 100,
+        seed: int = 42,
+    ) -> None:
+        if not m_values or not n_values:
             raise ValueError("parameter ranges must be non-empty")
-        if any(m < 1 for m in self.m_values):
+        if any(m < 1 for m in m_values):
             raise ValueError("every m must be >= 1")
-        if any(n < 0 for n in self.n_values):
+        if any(n < 0 for n in n_values):
             raise ValueError("every n must be >= 0")
-        for name, values in (("m", self.m_values), ("n", self.n_values)):
+        for name, values in (("m", m_values), ("n", n_values)):
             if len(set(values)) != len(values):
                 raise ValueError(f"repeated {name} values in {list(values)}")
-        if self.samples_per_case < 1:
+        if samples_per_case < 1:
             raise ValueError("samples_per_case must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        vars(self).update(m_values=m_values, n_values=n_values, samples_per_case=samples_per_case, seed=seed)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CampaignConfig is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CampaignConfig) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.m_values, self.n_values, self.samples_per_case, self.seed
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -73,6 +85,8 @@ class CampaignConfig:
 
     @cached_property
     def _hash(self) -> str:  # once per config: every record of a campaign carries it
+        import hashlib  # here, not at import: numpy.random has loaded it by the first run_case
+
         canonical = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -105,13 +119,19 @@ def _check(name: str, claim: str, passed: bool) -> dict[str, Any]:
     return {"name": name, "claim": claim, "passed": bool(passed)}
 
 
-@dataclass
 class CaseTimings:
-    sampling: float = 0.0
-    signs: float = 0.0
-    well_defined: float = 0.0
-    independence: float = 0.0
-    cohomology: float = 0.0
+    """Seconds spent in each check layer, of one case or summed over a campaign."""
+
+    def __init__(
+        self,
+        sampling: float = 0.0,
+        signs: float = 0.0,
+        well_defined: float = 0.0,
+        independence: float = 0.0,
+        cohomology: float = 0.0,
+    ) -> None:
+        self.sampling, self.signs, self.well_defined = sampling, signs, well_defined
+        self.independence, self.cohomology = independence, cohomology
 
     def add(self, other: CaseTimings) -> None:
         for name, seconds in vars(other).items():
@@ -135,8 +155,7 @@ def witnesses_json(witnesses: tuple[Witness, ...]) -> list[dict[str, Any]]:
     return [{"key": list(key), "failureDegree": failure} for key, failure in witnesses]
 
 
-@dataclass
-class Obstruction:
+class Obstruction(NamedTuple):
     """The mod-2 obstruction check of one Q(m, n), as both `run_case` and
     `wallspan cohomology` report it."""
 
@@ -311,8 +330,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     return record, timings
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     report: dict[str, Any]
     timings: CaseTimings
 

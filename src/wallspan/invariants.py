@@ -13,8 +13,6 @@ Everything here is exact integer arithmetic; all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def nu(k: int) -> int:
     """2-adic valuation: the largest e such that 2**e divides k.
@@ -26,18 +24,30 @@ def nu(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-@dataclass(frozen=True)
 class WallParams:
-    """Parameters of the Wall manifold Q(m, n): m >= 1, n >= 0."""
+    """Parameters of the Wall manifold Q(m, n): m >= 1, n >= 0.  Immutable; compares by (m, n)."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"sphere dimension m must be >= 1, got {self.m}")
-        if self.n < 0:
-            raise ValueError(f"complex projective dimension n must be >= 0, got {self.n}")
+    def __init__(self, m: int, n: int) -> None:
+        if m < 1:
+            raise ValueError(f"sphere dimension m must be >= 1, got {m}")
+        if n < 0:
+            raise ValueError(f"complex projective dimension n must be >= 0, got {n}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"WallParams is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, WallParams) and (self.m, self.n) == (other.m, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n))
+
+    def __repr__(self) -> str:
+        return f"WallParams(m={self.m}, n={self.n})"
 
     @property
     def nu(self) -> int:

@@ -11,8 +11,6 @@ the same report as this loop on the arrays the words expand to.  The word
 helpers at the end make the broken families the tests feed to both.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from wallspan.clifford import CliffordFamily, FamilyReport, GaussMatrix
@@ -133,7 +131,7 @@ def with_word(family: CliffordFamily, j: int, word) -> CliffordFamily:
     """`family` with A_j's word replaced by `word`."""
     words = list(family.words)
     words[j - 1] = word
-    return replace(family, words=tuple(words))
+    return CliffordFamily(family.n, tuple(words), family.predicted_signs)
 
 
 def times_i(family: CliffordFamily, j: int) -> CliffordFamily:
@@ -151,4 +149,4 @@ def flip_sign(family: CliffordFamily, j: int) -> CliffordFamily:
     """`family` with the predicted sign eps_j negated."""
     signs = list(family.predicted_signs)
     signs[j - 1] = -signs[j - 1]
-    return replace(family, predicted_signs=tuple(signs))
+    return CliffordFamily(family.n, family.words, tuple(signs))

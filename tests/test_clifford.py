@@ -11,7 +11,6 @@ vector.  Only the beta / pairwise-orthogonality tests allow a
 tolerance, 1e-12.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -272,13 +271,13 @@ def test_family_rejects_a_bad_row_at_construction():
     for n, x in ((7, 8), (7, -1), (7, 2**40), (5, 2), (2, 1)):  # 2^nu = 8, 8, 8, 2, 1
         with pytest.raises(ValueError, match=f"got x = {x}"):
             CliffordFamily(n, ((x, 0, 1),), (-1,))
-    edge = dataclasses.replace(family, words=((7, 0, 1), *family.words[1:]))
+    edge = CliffordFamily(family.n, ((7, 0, 1), *family.words[1:]), family.predicted_signs)
     assert "perm" not in vars(edge)
     assert np.array_equal(edge.perm[0], np.arange(8)[::-1])
     assert np.array_equal(CliffordFamily(5, ((1, 0, 1),), (-1,)).perm, [[1, 0, 3, 2, 5, 4]])
     for signs in (family.predicted_signs[:-1], (*family.predicted_signs, 1)):
         with pytest.raises(ValueError, match="one sign per word"):
-            dataclasses.replace(family, predicted_signs=signs)
+            CliffordFamily(family.n, family.words, signs)
 
 
 def test_predicted_sign_values():

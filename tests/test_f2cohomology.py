@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wallspan.f2cohomology import (
     GradedF2Poly,
     VirtualSwSearch,
+    WallRing,
     render_monomial,
     sw_upper_bound,
     total_sw_wall,
@@ -89,8 +90,12 @@ def test_wall_c_cubed_normalizes():
 
 
 def test_wall_rejects_m_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the Wall ring needs m >= 1, got m = 0"):
         wall_presentation(0, 2)
+    with pytest.raises(ValueError, match="the Wall ring needs m >= 1, got m = 0"):
+        WallRing(0, 1)
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        WallRing(1, -1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

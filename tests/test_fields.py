@@ -1,7 +1,6 @@
 """Numerical field checks: tangency, signs, independence, representative freedom."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,10 +172,10 @@ def test_point_batch_check_unit(slot, message):
     bad = getattr(batch, slot).copy()
     bad[3] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match=f"sample 3: {message}"):
-        replace(batch, **{slot: bad}).check_unit()
+        batch._replace(**{slot: bad}).check_unit()
     bad[3] = np.nan
     with pytest.raises(ValueError, match=f"sample 3: {message}"):
-        replace(batch, **{slot: bad}).check_unit()
+        batch._replace(**{slot: bad}).check_unit()
 
 
 # -- the two field constructions -------------------------------------------------

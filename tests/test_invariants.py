@@ -69,9 +69,9 @@ def test_upper_bound_fibration_examples():
 
 
 def test_wall_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sphere dimension m must be >= 1, got 0"):
         WallParams(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="complex projective dimension n must be >= 0, got -1"):
         WallParams(1, -1)
     p = WallParams(3, 5)
     assert (p.nu, p.delta, p.dim) == (1, 6, 14)
