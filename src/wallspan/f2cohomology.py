@@ -18,16 +18,21 @@ dim - k for some degree-1 classes x_1, ..., x_k; ruling out every choice
 bounds the projective span by k - 1.  With U = (1 + c)^(-1), x^2 = 0 gives
 (1 + x)^(-1) = 1 + x and 1 + x + c = (1 + c)(1 + xU), so mod 2
 
-    w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3,
+    w / ((1+x)^k1 (1+c)^k2 (1+x+c)^k3) = w U^s (1 + x (k1 + k3 U)),   s = k2 + k3.
 
-and as c^(m+2) = 0, U = (1 + c)^(2^L - 1) = prod_{l < L} (1 + c^(2^l)) for
-2^L > m + 1.  A class depends only on its memo key (s, k1 mod 2, k3 mod 2),
-and k is ruled out iff the class of every key that k classes reach has a
-degree above dim - k.  So `rule_out` reads a memoised running minimum of top
-degrees, adding the keys `_new_keys` lists at each step: a scan computes each
-of its O(bound) keys once.  The reports give the keys too, not the multisets:
-a result's `witnesses` pair each of the 4k keys that k classes reach with its
-class's lowest degree above dim - k, which every multiset of that key shares.
+A class depends only on its memo key (s, k1 mod 2, k3 mod 2), and k is ruled
+out iff the class of every key that k classes reach has a degree above dim - k.
+
+The period lemma: take 2^L >= m + 2.  Mod 2, (1 + c)^(2^L) = 1 + c^(2^L), and
+c^t = 0 for t >= m + 2, so U^(2^L) = 1, U = prod_{l < L} (1 + c^(2^l)), and a
+key's class depends only on its residue (s mod 2^L, p1, p3).  The keys that
+`_new_keys` lists at steps 0 ... 2^L + 1 reach all 4 * 2^L residues, (0, 0, 1)
+first at step 2^L and (0, 1, 1) first at step 2^L + 1.  So `VirtualSwSearch`
+keeps w U^s for s < 2^L only, and `rule_out` reads a memoised running minimum
+of top degrees, final after step 2^L + 1: a scan computes O(2^L) classes,
+2^L <= 2(m + 1), whatever its bound.  A result's `witnesses` pair each of the 4k
+keys that k classes reach with its class's lowest degree above dim - k, which
+every multiset of that key shares.
 
 The tests check the ring against sympy's Groebner reduction, a hand expansion
 of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
@@ -68,7 +73,11 @@ class WallRing:
             raise ValueError(f"the Wall ring needs m >= 1, got m = {m}")
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
-        vars(self).update(m=m, n=n)
+        b = m + 1  # bits per degree in the packed layout: the slots i = 0..m
+        firsts = ((1 << (m + 2 * n + 3) * b) - 1) // ((1 << b) - 1)  # slot 0 of every block to degree dim + 1
+        fibre = ((1 << 2 * b * (n + 1)) - 1) // ((1 << 2 * b) - 1)  # d^j at bit 2jb, j <= n
+        basis = fibre * (((1 << (b + 1) * b) - 1) // ((1 << b + 1) - 1))  # times c^i at bit i(b+1), i <= m
+        vars(self).update(m=m, n=n, block=b, _c_steps=(firsts, [None] * (b + 1)), _basis_bits=(basis, basis << b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"WallRing is immutable: cannot assign {name!r}")
@@ -86,26 +95,6 @@ class WallRing:
     def top_degree(self) -> int:
         return self.m + 2 * self.n + 1
 
-    @cached_property
-    def block(self) -> int:
-        """Bits per degree in the packed layout: the slots i = 0..m."""
-        return self.m + 1
-
-    @cached_property
-    def _c_steps(self) -> tuple[int, list[tuple[int, int] | None]]:
-        """Slot 0 of every block to degree dim + 1, and room for (shift, keep) of times
-        c^t, t <= m + 1, each built on the first use of its t."""
-        b = self.block
-        return ((1 << (self.top_degree + 2) * b) - 1) // ((1 << b) - 1), [None] * (b + 1)
-
-    @cached_property
-    def _basis_bits(self) -> Pair:
-        """The bits of all basis monomials, in h0 and in h1."""
-        b = self.block
-        fibre = ((1 << 2 * b * (self.n + 1)) - 1) // ((1 << 2 * b) - 1)  # d^j at bit 2jb, j <= n
-        diagonal = ((1 << (b + 1) * b) - 1) // ((1 << b + 1) - 1)  # c^i at bit i(b+1), i <= m
-        return fibre * diagonal, fibre * diagonal << b
-
     def times_one_plus_c(self, h0: int, h1: int, ts: Iterable[int]) -> Pair:
         """(h0, h1) times the product of 1 + c^t over ts, each t >= 1.
 
@@ -116,7 +105,7 @@ class WallRing:
         for t in ts:
             if t <= b:  # else c^t = 0
                 step = steps[t]
-                if step is None:
+                if step is None:  # (shift, keep) of times c^t, built on the first use of its t
                     step = steps[t] = t * (b + 1), ((1 << b) - (1 << t)) * firsts
                 shift, keep = step
                 s0 = h0 << shift
@@ -246,11 +235,13 @@ def total_sw_wall(p: WallParams) -> GradedF2Poly:
     """Total Stiefel-Whitney class w(Q(m, n)) = (1 + c + x) (1 + c)^(m-1) (1 + c + d)^(n+1),
     each power a product of Frobenius factors (see the module docstring)."""
     ring = wall_presentation(p.m, p.n)
-    w = ring.element([(0, 0, 0), (0, 1, 0), (1, 0, 0)])
-    h0, h1 = ring.times_one_plus_c(w.h0, w.h1, [1 << t for t in _bits(p.m - 1)])
-    for t in _bits(p.n + 1):  # (1 + c^T + d^T) h = (1 + c^T) h + d^T h, T = 2^t
-        (g0, g1), (f0, f1) = ring.times_one_plus_c(h0, h1, [1 << t]), ring.times_d(h0, h1, 1 << t)
-        h0, h1 = g0 ^ f0, g1 ^ f1
+    m1, n1, b = p.m - 1, p.n + 1, ring.block
+    h0, h1 = 1 | 2 << b, 1 << b  # 1 + c + x: 1 and c in h0, x in h1
+    h0, h1 = ring.times_one_plus_c(h0, h1, [1 << t for t in range(m1.bit_length()) if m1 >> t & 1])
+    for t in range(n1.bit_length()):
+        if n1 >> t & 1:  # (1 + c^T + d^T) h = (1 + c^T) h + d^T h, T = 2^t
+            (g0, g1), (f0, f1) = ring.times_one_plus_c(h0, h1, [1 << t]), ring.times_d(h0, h1, 1 << t)
+            h0, h1 = g0 ^ f0, g1 ^ f1
     return GradedF2Poly(ring, h0, h1)
 
 
@@ -303,21 +294,25 @@ class VirtualSwSearch:
         self.ring = self.w.ring
         self._block = self.ring.block  # bits per degree
         self._u_steps = [1 << l for l in range((p.m + 1).bit_length())]  # 2^L > m + 1
-        self._powers = [(self.w.h0, self.w.h1)]  # w U^s for s = 0, 1, ...
+        self._period = 2 * self._u_steps[-1]  # 2^L, as U^(2^L) = 1
+        self._powers = [(self.w.h0, self.w.h1)]  # w U^s for s = 0, 1, ..., 2^L - 1
         self._min_tops: list[int] = []  # least top degree over the keys reachable by k classes
+
+    def _power(self, s: int) -> Pair:
+        """w U^s, read at s mod 2^L."""
+        s, powers = s % self._period, self._powers
+        while len(powers) <= s:  # times U = (1 + c)(1 + c^2)(1 + c^4) ... (1 + c^(2^(L-1)))
+            powers.append(self.ring.times_one_plus_c(*powers[-1], self._u_steps))
+        return powers[s]
 
     def _packed_class(self, key: Key) -> Pair:
         s, p1, p3 = key
-        powers, b = self._powers, self._block
-        while len(powers) <= s + 1:  # times U = (1 + c)(1 + c^2)(1 + c^4) ... (1 + c^(2^(L-1)))
-            h0, h1 = powers[-1]
-            powers.append(self.ring.times_one_plus_c(h0, h1, self._u_steps))
-        h0, h1 = powers[s]
+        h0, h1 = self._power(s)
         # add x (p1 w U^s + p3 w U^(s+1)); times x moves h0 up one block into h1
         if p1:
-            h1 ^= h0 << b
+            h1 ^= h0 << self._block
         if p3:
-            h1 ^= powers[s + 1][0] << b
+            h1 ^= self._power(s + 1)[0] << self._block
         return h0, h1
 
     def virtual_class(self, triple: tuple[int, int, int]) -> GradedF2Poly:
@@ -325,10 +320,15 @@ class VirtualSwSearch:
         k1, k2, k3 = triple
         return GradedF2Poly(self.ring, *self._packed_class((k2 + k3, k1 & 1, k3 & 1)))
 
-    def class_top_degree(self, key: Key) -> int:
-        """The class's highest degree: what `rule_out` reads of each key."""
-        h0, h1 = self._packed_class(key)
-        return ((h0 | h1).bit_length() - 1) // self._block  # every class is a unit, never 0
+    def _key_tops(self, s: int) -> list[int]:
+        """The top degrees of the classes of `_new_keys(s)`, in order, from w U^(s-1),
+        w U^s and w U^(s+1); every class is a unit, never 0."""
+        b, (a0, a1) = self._block, self._power(s)
+        if not s:
+            return [((a0 | a1).bit_length() - 1) // b]
+        z0, z1 = self._power(s - 1)
+        classes = [a0 | a1, a0 | a1 ^ self._power(s + 1)[0] << b, z0 | z1 ^ z0 << b, z0 | z1 ^ (z0 ^ a0) << b]
+        return [(h.bit_length() - 1) // b for h in classes[: 3 + (s >= 2)]]
 
     def class_failure_degree(self, key: Key, allowed: int) -> int | None:
         """The class's lowest degree above `allowed`, or None if it has none."""
@@ -340,11 +340,10 @@ class VirtualSwSearch:
         dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
-        tops = self._min_tops
-        while len(tops) <= k:  # each key's top degree enters the running minimum once
-            new = [self.class_top_degree(key) for key in _new_keys(len(tops))]
-            tops.append(min(tops[-1:] + new))
-        return RuleOutResult(k, tops[k] > dim - k, dim - k, self.class_failure_degree)
+        tops, last = self._min_tops, min(k, self._period + 1)  # no new residue after step 2^L + 1
+        while len(tops) <= last:  # each step's top degrees enter the running minimum once
+            tops.append(min(tops[-1:] + self._key_tops(len(tops))))
+        return RuleOutResult(k, tops[last] > dim - k, dim - k, self.class_failure_degree)
 
     def scan(self) -> Iterator[RuleOutResult]:
         """Yield rule_out(k) for k = 1, 2, ..., dim, stopping at the smallest ruled-out k.

@@ -4,10 +4,13 @@
 `failures_by_key` is the triple loop over every multiset (k1, k2, k3) that
 the key-level witnesses of `VirtualSwSearch.rule_out` must agree with, on
 classes built by ring products (`ring_product_degrees`) or by the closed form
-(`closed_form_degrees`).
+(`closed_form_degrees`).  `unperiodic_rule_out` is the key scan without the
+period lemma: the running minimum over every step s <= k, on classes built
+from w U^s for every s (`unperiodic_powers`), and `class_top_degree` reads one
+key's class at a time, the reference for `VirtualSwSearch._key_tops`.
 """
 
-from wallspan.f2cohomology import GradedF2Poly, VirtualSwSearch, wall_presentation
+from wallspan.f2cohomology import GradedF2Poly, VirtualSwSearch, _new_keys, total_sw_wall, wall_presentation
 from wallspan.invariants import WallParams
 
 
@@ -83,3 +86,44 @@ def ring_product_degrees(p: WallParams):
 def closed_form_degrees(search: VirtualSwSearch):
     """degrees_of for `failures_by_key` from `VirtualSwSearch.virtual_class`."""
     return lambda triple: search.virtual_class(triple).degrees()
+
+
+def class_top_degree(search: VirtualSwSearch, key) -> int:
+    """The top degree of one key's class, built on its own by `_packed_class`."""
+    h0, h1 = search._packed_class(key)
+    return ((h0 | h1).bit_length() - 1) // search.ring.block
+
+
+def unperiodic_powers(p: WallParams, count: int) -> list:
+    """w U^s for s < count, each one times-U step from the last and none read
+    modulo a period, with U = prod_{l < L} (1 + c^(2^l)), 2^L > m + 1."""
+    w = total_sw_wall(p)
+    u_steps = [1 << l for l in range((p.m + 1).bit_length())]
+    powers = [(w.h0, w.h1)]
+    while len(powers) < count:
+        powers.append(w.ring.times_one_plus_c(*powers[-1], u_steps))
+    return powers
+
+
+def unperiodic_rule_out(p: WallParams, k_max: int):
+    """(ruled_out for k = 1..k_max, the witnesses of k_max): each key's class
+    w U^s (1 + x (p1 + p3 U)) from `unperiodic_powers`, the running minimum of
+    their top degrees over `_new_keys(s)` for every s <= k, and each witness's
+    lowest degree above dim - k_max found by testing degree after degree."""
+    powers, b, dim = unperiodic_powers(p, k_max + 2), p.m + 1, p.dim
+
+    def class_bits(key):
+        s, p1, p3 = key
+        h0, h1 = powers[s]
+        return h0 | h1 ^ (p1 * h0 ^ p3 * powers[s + 1][0]) << b
+
+    keys = [key for t in range(k_max + 1) for key in _new_keys(t)]
+    bits = {key: class_bits(key) for key in keys}
+    least, verdicts = dim + 1, []
+    for k in range(k_max + 1):
+        least = min([least] + [(bits[key].bit_length() - 1) // b for key in _new_keys(k)])
+        verdicts.append(least > dim - k)
+    degree_bits = [((1 << b) - 1) << q * b for q in range(dim + 1)]
+    forbidden = range(dim - k_max + 1, dim + 1)
+    witnesses = tuple((key, next((q for q in forbidden if bits[key] & degree_bits[q]), None)) for key in keys)
+    return verdicts[1:], witnesses

@@ -13,6 +13,7 @@ from wallspan.f2cohomology import (
     GradedF2Poly,
     VirtualSwSearch,
     WallRing,
+    _new_keys,
     render_monomial,
     sw_upper_bound,
     total_sw_wall,
@@ -20,7 +21,16 @@ from wallspan.f2cohomology import (
 )
 from wallspan.invariants import WallParams, nu
 
-from f2_reference import closed_form_degrees, failures_by_key, power, ring_product_degrees, unit_inverse
+from f2_reference import (
+    class_top_degree,
+    closed_form_degrees,
+    failures_by_key,
+    power,
+    ring_product_degrees,
+    unit_inverse,
+    unperiodic_powers,
+    unperiodic_rule_out,
+)
 
 
 # -- independent expansion oracle for the Wall ring ---------------------------
@@ -368,19 +378,72 @@ def test_rule_out_matches_triple_loop_through_the_first_ruled_out_k(m, n):
     assert_witnesses_match_multisets(search, closed_form_degrees(search), last)
 
 
-def test_rule_out_consults_exactly_the_reachable_keys():
-    # fake classes that all reach degree dim except one key's: k must be
-    # admissible iff some multiset of k classes has that key; a fresh search
-    # each time, since the running minimum of top degrees is memoised
-    p = WallParams(4, 5)
-    for k in range(1, 7):
+def test_new_keys_list_exactly_the_reachable_keys():
+    # the keys of steps t <= k are those of the multisets of at most k classes, each once
+    for k in range(8):
         triples = product(range(k + 1), repeat=3)
         reachable = {(k2 + k3, k1 & 1, k3 & 1) for k1, k2, k3 in triples if k1 + k2 + k3 <= k}
-        for passing in product(range(k + 2), (0, 1), (0, 1)):
+        listed = [key for t in range(k + 1) for key in _new_keys(t)]
+        assert len(listed) == len(set(listed)) and set(listed) == reachable, k
+
+
+def test_rule_out_reads_every_residue_through_step_period_plus_one():
+    # fake tops through the seam at 2^L = 8: one residue's classes have top
+    # degree 0 and all others dim, so k is admissible from the first k whose
+    # multisets reach that residue; (0, 1, 1) is reached last, at 2^L + 1
+    p = WallParams(4, 5)
+    triples = [t for t in product(range(12), repeat=3) if sum(t) < 12]
+    for passing in product(range(8), (0, 1), (0, 1)):
+        search = VirtualSwSearch(p)
+        dim = search.ring.top_degree
+        assert search._period == 8 and dim == 15
+        search._key_tops = lambda s, passing=passing: [
+            0 if (t % 8, p1, p3) == passing else dim for t, p1, p3 in _new_keys(s)
+        ]
+        first = min(sum(t) for t in triples if ((t[1] + t[2]) % 8, t[0] & 1, t[2] & 1) == passing)
+        assert first == {(0, 0, 1): 8, (0, 1, 1): 9}.get(passing, first)
+        assert [search.rule_out(k).ruled_out for k in range(1, 12)] == [k < first for k in range(1, 12)], passing
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 2), (3, 5), (4, 5), (7, 3), (16, 2)])
+def test_key_tops_match_the_per_key_classes(m, n):
+    # the seam against each key's class built on its own, over three periods
+    search = VirtualSwSearch(WallParams(m, n))
+    for s in range(3 * search._period):
+        assert search._key_tops(s) == [class_top_degree(search, key) for key in _new_keys(s)], s
+
+
+def test_period_lemma():
+    # w U^(s + 2^L) = w U^s, with 2^L the least power of two >= m + 2; each
+    # step times 1 + c gives the last power back, so the step is times U
+    for m in range(1, 17):
+        for n in range(13):
+            p = WallParams(m, n)
             search = VirtualSwSearch(p)
-            dim = search.ring.top_degree
-            search.class_top_degree = lambda key, passing=passing: 0 if key == passing else dim
-            assert search.rule_out(k).ruled_out == (passing not in reachable), (k, passing)
+            period, ring = search._period, search.ring
+            assert m + 2 <= period < 2 * (m + 2)
+            powers = unperiodic_powers(p, 2 * period)
+            assert all(ring.times_one_plus_c(*powers[s + 1], [1]) == powers[s] for s in range(2 * period - 1))
+            assert powers[period:] == powers[:period], (m, n)
+            assert [search._power(s) for s in range(2 * period)] == powers, (m, n)
+
+
+def test_rule_out_matches_the_unperiodic_scan():
+    # every k <= dim, and the witnesses of k = dim, against the running minimum
+    # over every step s <= k on classes built with no period
+    for m in range(1, 13):
+        for n in range(64):
+            p = WallParams(m, n)
+            search = VirtualSwSearch(p)
+            verdicts, witnesses = unperiodic_rule_out(p, p.dim)
+            assert [search.rule_out(k).ruled_out for k in range(1, p.dim + 1)] == verdicts, (m, n)
+            assert search.rule_out(p.dim).witnesses == witnesses, (m, n)
+
+
+def test_scan_computes_one_period_of_powers():
+    search = VirtualSwSearch(WallParams(16, 255))
+    *_, last = search.scan()
+    assert last.bound == 15 + 2**9 and len(search._powers) <= search._period == 32
 
 
 def test_scan_builds_no_witnesses():
