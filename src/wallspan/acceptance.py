@@ -152,8 +152,7 @@ def criterion_rule_out_even() -> CriterionResult:
     bad = []
     for m in RULE_OUT_M_VALUES:
         for n in RULE_OUT_N_VALUES:
-            result = VirtualSwSearch(WallParams(m, n)).rule_out(m + 2)
-            if not result.ruled_out:
+            if not VirtualSwSearch(WallParams(m, n)).ruled_out(m + 2):
                 bad.append(f"({m},{n}) k={m + 2} not ruled out")
     elapsed = time.perf_counter() - start
     passed = not bad and elapsed < RULE_OUT_BUDGET_S

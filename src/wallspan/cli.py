@@ -113,18 +113,15 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     p = validated(WallParams, args.m, args.n)
     pspan = pspan_wall(p)
     obstruction = obstruction_check(p, pspan)
-    rule_outs = []
-    for result in obstruction.scan:
-        entry: dict[str, Any] = {
-            "k": result.k,
-            "ruledOut": result.ruled_out,
-            "maxAllowedDegree": result.max_allowed_degree,
-        }
-        if result.ruled_out:
-            entry["witnesses"] = witnesses_json(result.witnesses)
-        else:
-            entry["admissibleKey"] = next(list(key) for key, failure in result.witnesses if failure is None)
-        rule_outs.append(entry)
+    search = obstruction.search
+    # the admissible k = 1 .. bound, each with a passing key, then the first ruled-out k with its witnesses
+    rule_outs: list[dict[str, Any]] = [
+        {"k": k, "ruledOut": False, "maxAllowedDegree": p.dim - k, "admissibleKey": list(search.admissible_key(k))}
+        for k in range(1, obstruction.bound + 1)
+    ]
+    if deciding := obstruction.deciding:
+        entry = {"k": deciding.k, "ruledOut": True, "maxAllowedDegree": deciding.max_allowed_degree}
+        rule_outs.append({**entry, "witnesses": witnesses_json(deciding.witnesses)})
 
     obj: dict[str, Any] = {
         **report_envelope("cohomology"),

@@ -28,11 +28,10 @@ c^t = 0 for t >= m + 2, so U^(2^L) = 1, U = prod_{l < L} (1 + c^(2^l)), and a
 key's class depends only on its residue (s mod 2^L, p1, p3).  The keys that
 `_new_keys` lists at steps 0 ... 2^L + 1 reach all 4 * 2^L residues, (0, 0, 1)
 first at step 2^L and (0, 1, 1) first at step 2^L + 1.  So `VirtualSwSearch`
-keeps w U^s for s < 2^L only, and `rule_out` reads a memoised running minimum
-of top degrees, final after step 2^L + 1: a scan computes O(2^L) classes,
-2^L <= 2(m + 1), whatever its bound.  A result's `witnesses` pair each of the 4k
-keys that k classes reach with its class's lowest degree above dim - k, which
-every multiset of that key shares.
+keeps w U^s for s < 2^L only, and `ruled_out` compares a memoised running
+minimum of top degrees, final after step 2^L + 1, with dim - k: deciding every k
+computes O(2^L) classes, 2^L <= 2(m + 1).  Only `rule_out(k)` lists witnesses,
+each of the 4k keys k classes reach with its class's lowest degree above dim - k.
 
 The tests check the ring against sympy's Groebner reduction, a hand expansion
 of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
@@ -42,9 +41,8 @@ with binomial coefficients; none of the three shares code with it.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import groupby
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .invariants import WallParams
 
@@ -247,31 +245,16 @@ def total_sw_wall(p: WallParams) -> GradedF2Poly:
 
 # -- the virtual Stiefel-Whitney obstruction ------------------------------------
 
-class RuleOutResult:
-    """Whether k independent line fields are impossible, decided on the memo keys."""
+class RuleOutResult(NamedTuple):
+    """Whether k independent line fields are impossible, decided on the memo keys.
 
-    def __init__(
-        self, k: int, ruled_out: bool, max_allowed_degree: int, failure_degree: Callable[[Key, int], int | None]
-    ) -> None:
-        vars(self).update(
-            k=k, ruled_out=ruled_out, max_allowed_degree=max_allowed_degree, failure_degree=failure_degree
-        )
+    `witnesses` pair each key that k classes reach, in `_new_keys` order, with its
+    class's lowest degree above `max_allowed_degree` = dim - k, or None."""
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"RuleOutResult is immutable: cannot assign {name!r}")
-
-    @property
-    def bound(self) -> int:
-        """The pspan bound when this result ends a `VirtualSwSearch.scan`: k - 1
-        if k is ruled out, else k (= dim: the scan ruled nothing out)."""
-        return self.k - 1 if self.ruled_out else self.k
-
-    @cached_property
-    def witnesses(self) -> tuple[Witness, ...]:
-        """(key, failure degree) for each key that k classes reach, in `_new_keys` order:
-        the lowest degree above dim - k where the key's class is nonzero, or None."""
-        keys = (key for t in range(self.k + 1) for key in _new_keys(t))
-        return tuple((key, self.failure_degree(key, self.max_allowed_degree)) for key in keys)
+    k: int
+    ruled_out: bool
+    max_allowed_degree: int
+    witnesses: tuple[Witness, ...]
 
 
 def _new_keys(s: int) -> tuple[Key, ...]:
@@ -336,33 +319,48 @@ class VirtualSwSearch:
         above = (h0 | h1) >> (allowed + 1) * self._block
         return allowed + 1 + ((above & -above).bit_length() - 1) // self._block if above else None
 
-    def rule_out(self, k: int) -> RuleOutResult:
+    def ruled_out(self, k: int) -> bool:
+        """Whether k is ruled out: the class of every key that k classes reach has a
+        degree above dim - k, read off the running minimum of top degrees."""
         dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
         tops, last = self._min_tops, min(k, self._period + 1)  # no new residue after step 2^L + 1
         while len(tops) <= last:  # each step's top degrees enter the running minimum once
             tops.append(min(tops[-1:] + self._key_tops(len(tops))))
-        return RuleOutResult(k, tops[last] > dim - k, dim - k, self.class_failure_degree)
+        return tops[last] > dim - k
 
-    def scan(self) -> Iterator[RuleOutResult]:
-        """Yield rule_out(k) for k = 1, 2, ..., dim, stopping at the smallest ruled-out k.
+    def first_ruled_out(self) -> int | None:
+        """The smallest ruled-out k, or None if no k <= dim is ruled out.
 
         Every larger k is ruled out too: if w / prod(1 + x_i) over k + 1
         classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
-        above dim - k, so dropping that class gives a passing k-multiset.  The
-        last result's `bound` is the bound on pspan.
+        above dim - k, so dropping that class gives a passing k-multiset.
         """
-        for k in range(1, self.ring.top_degree + 1):
-            result = self.rule_out(k)
-            yield result
-            if result.ruled_out:
-                return
+        return next((k for k in range(1, self.ring.top_degree + 1) if self.ruled_out(k)), None)
+
+    def admissible_key(self, k: int) -> Key | None:
+        """The first key in `_new_keys` order that k classes reach and whose class
+        vanishes above dim - k, or None if k is ruled out.  Only the steps
+        t <= min(k, 2^L + 1) are searched: a key of a later step repeats a
+        residue, so a class, that an earlier step already reached."""
+        allowed = self.ring.top_degree - k
+        for t in range(min(k, self._period + 1) + 1):
+            for key, top in zip(_new_keys(t), self._key_tops(t)):
+                if top <= allowed:
+                    return key
+        return None
+
+    def rule_out(self, k: int) -> RuleOutResult:
+        """`ruled_out(k)` with its witnesses, each key's failure degree."""
+        ruled_out, allowed = self.ruled_out(k), self.ring.top_degree - k
+        keys = (key for t in range(k + 1) for key in _new_keys(t))
+        witnesses = tuple((key, self.class_failure_degree(key, allowed)) for key in keys)
+        return RuleOutResult(k, ruled_out, allowed, witnesses)
 
 
 def sw_upper_bound(p: WallParams) -> int:
     """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies: the
     smallest ruled-out k minus one, or dim Q(m, n) if nothing is ruled out."""
-    for last in VirtualSwSearch(p).scan():
-        pass
-    return last.bound
+    first = VirtualSwSearch(p).first_ruled_out()
+    return p.dim if first is None else first - 1

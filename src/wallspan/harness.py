@@ -159,19 +159,19 @@ class Obstruction(NamedTuple):
     """The mod-2 obstruction check of one Q(m, n), as both `run_case` and
     `wallspan cohomology` report it."""
 
-    w: GradedF2Poly
+    search: VirtualSwSearch  # its w is w(Q)
     total_sw: dict[str, Any]  # the report's totalSw and totalSwByDegree entries
-    scan: tuple[RuleOutResult, ...]  # rule_out(k) for k = 1, 2, ... up to the first ruled-out k
+    deciding: RuleOutResult | None  # rule_out at the first ruled-out k, None if no k <= dim is
     bound: int
     bound_ok: bool  # bound >= pspan
 
 
 def obstruction_check(params: WallParams, pspan: int) -> Obstruction:
-    """w(Q) and its rendering, the rule-out scan, the bound it certifies and bound >= pspan."""
+    """w(Q) and its rendering, the deciding rule-out, the bound it certifies and bound >= pspan."""
     search = VirtualSwSearch(params)
-    scan = tuple(search.scan())
-    bound = scan[-1].bound
-    return Obstruction(search.w, total_sw_json(search.w), scan, bound, bound >= pspan)
+    deciding = None if (first := search.first_ruled_out()) is None else search.rule_out(first)
+    bound = params.dim if deciding is None else deciding.k - 1
+    return Obstruction(search, total_sw_json(search.w), deciding, bound, bound >= pspan)
 
 
 def formula_record(params: WallParams) -> dict[str, Any]:
@@ -266,12 +266,12 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     obstruction = obstruction_check(params, pspan)
     timings.cohomology += time.perf_counter() - t0
 
-    last = obstruction.scan[-1]
+    deciding = obstruction.deciding
     cohomology_record = {
         **obstruction.total_sw,
         "swUpperBound": obstruction.bound,
-        "ruledOutAtK": last.k if last.ruled_out else None,
-        "ruleOutWitnesses": witnesses_json(last.witnesses) if last.ruled_out else [],
+        "ruledOutAtK": deciding.k if deciding else None,
+        "ruleOutWitnesses": witnesses_json(deciding.witnesses) if deciding else [],
         "checks": [
             _check(
                 "sw_bound_not_below_pspan",
@@ -281,7 +281,7 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
             _check(
                 "top_degree_sw_vanishes",
                 "w_dim(Q) = 0 (the mod-2 Euler class of a mapping torus vanishes)",
-                obstruction.w.component(params.dim).is_zero(),
+                obstruction.search.w.component(params.dim).is_zero(),
             ),
         ],
     }

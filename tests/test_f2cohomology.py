@@ -335,12 +335,9 @@ def test_every_k_past_the_first_ruled_out_is_ruled_out(m, n):
     # the lemma behind the closed-form entries of `wallspan cohomology`
     p = WallParams(m, n)
     search = VirtualSwSearch(p)
-    *_, first = search.scan()
-    assert first.ruled_out and first.k < p.dim
-    for k in range(first.k + 1, p.dim + 1):
-        result = search.rule_out(k)
-        assert result.ruled_out
-        assert len(result.witnesses) == 4 * k
+    first = search.first_ruled_out()
+    assert first is not None and first < p.dim
+    assert [search.ruled_out(k) for k in range(1, p.dim + 1)] == [k >= first for k in range(1, p.dim + 1)]
 
 
 def assert_witnesses_match_multisets(search, degrees_of, k_max):
@@ -402,7 +399,7 @@ def test_rule_out_reads_every_residue_through_step_period_plus_one():
         ]
         first = min(sum(t) for t in triples if ((t[1] + t[2]) % 8, t[0] & 1, t[2] & 1) == passing)
         assert first == {(0, 0, 1): 8, (0, 1, 1): 9}.get(passing, first)
-        assert [search.rule_out(k).ruled_out for k in range(1, 12)] == [k < first for k in range(1, 12)], passing
+        assert [search.ruled_out(k) for k in range(1, 12)] == [k < first for k in range(1, 12)], passing
 
 
 @pytest.mark.parametrize("m,n", [(1, 0), (2, 2), (3, 5), (4, 5), (7, 3), (16, 2)])
@@ -436,23 +433,27 @@ def test_rule_out_matches_the_unperiodic_scan():
             p = WallParams(m, n)
             search = VirtualSwSearch(p)
             verdicts, witnesses = unperiodic_rule_out(p, p.dim)
-            assert [search.rule_out(k).ruled_out for k in range(1, p.dim + 1)] == verdicts, (m, n)
+            assert [search.ruled_out(k) for k in range(1, p.dim + 1)] == verdicts, (m, n)
             assert search.rule_out(p.dim).witnesses == witnesses, (m, n)
 
 
 def test_scan_computes_one_period_of_powers():
+    # deciding every k <= dim = 527 rules nothing out, from w U^s for s < 2^L = 32 only
     search = VirtualSwSearch(WallParams(16, 255))
-    *_, last = search.scan()
-    assert last.bound == 15 + 2**9 and len(search._powers) <= search._period == 32
+    assert search.first_ruled_out() is None and len(search._powers) <= search._period == 32
 
 
-def test_scan_builds_no_witnesses():
-    # the witnesses are a cached property, listed on first access only
-    results = list(VirtualSwSearch(WallParams(4, 6)).scan())
-    assert [r.k for r in results] == [1, 2, 3, 4, 5, 6] and results[-1].ruled_out
-    assert all("witnesses" not in vars(r) for r in results)
-    assert len(results[-1].witnesses) == 4 * 6  # the keys 6 classes reach
-    assert "witnesses" in vars(results[-1])
+def test_admissible_key_is_the_first_passing_witness():
+    # the key read off the top degrees of the first 2^L + 2 steps, against the
+    # first key whose failure degree is None among all 4k witnesses of rule_out(k)
+    for m in range(1, 9):
+        for n in range(40):
+            search = VirtualSwSearch(WallParams(m, n))
+            first = search.first_ruled_out()
+            for k in range(1, first or search.ring.top_degree + 1):
+                passing = next(key for key, failure in search.rule_out(k).witnesses if failure is None)
+                assert search.admissible_key(k) == passing, (m, n, k)
+            assert first is None or search.admissible_key(first) is None, (m, n)
 
 
 def test_sw_upper_bound_closed_form():
@@ -496,9 +497,7 @@ def test_rings_compare_by_parameters():
 def test_obstruction_scan_one_path():
     p = WallParams(2, 2)
     search = VirtualSwSearch(p)
-    results = list(search.scan())
-    # the scan stops at the first ruled-out k (every larger k is ruled out too)
-    assert [r.k for r in results] == [1, 2, 3, 4]
-    assert [r.ruled_out for r in results] == [False, False, False, True]
-    assert results[-1].bound == sw_upper_bound(p) == 3
+    # k = 4 is the first ruled-out k, and every larger k is ruled out too
+    assert [search.ruled_out(k) for k in range(1, p.dim + 1)] == [False, False, False, True, True, True, True]
+    assert search.first_ruled_out() - 1 == sw_upper_bound(p) == 3
     assert search.w == total_sw_wall(p)

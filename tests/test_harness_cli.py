@@ -268,6 +268,8 @@ COHOMOLOGY_SHA256 = {
     (4, 5, "json"): "04807378b6006ca96d8db16ef3070cace6ed10b521e54b55deef34911e028672",
     (10, 7, "text"): "e8d1b0a4804c73057705f31b064da5722748cb50cfbacef0b25fef5785f61092",
     (10, 7, "json"): "b2aeaf4cf48337e213cb247b2cebf547fc5ed457fa20a1f07012b7019c966749",
+    (16, 255, "text"): "ad66480de1c0f1ef273f73e03f236fbec31eac406f2289fc783923a297f4822d",
+    (16, 255, "json"): "f707ce1c124c1ee91a252d300db31548772839335e6ab7fcc856d128006e49c3",
 }
 
 
@@ -276,6 +278,18 @@ def test_cli_cohomology_golden(capsys, m, n, fmt):
     assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == COHOMOLOGY_SHA256[m, n, fmt]
+
+
+@pytest.mark.parametrize("m,n", [(4, 5), (1, 255)])
+def test_cohomology_lists_witnesses_for_the_deciding_k_only(capsys, monkeypatch, m, n):
+    # each admissible row's key comes from the top degrees alone; only the first
+    # ruled-out k lists its 4k witnesses, and (1, 255) rules out no k <= dim
+    failure_degree, calls = f2cohomology.VirtualSwSearch.class_failure_degree, []
+    counted = lambda self, key, allowed: calls.append(key) or failure_degree(self, key, allowed)
+    monkeypatch.setattr(f2cohomology.VirtualSwSearch, "class_failure_degree", counted)
+    assert main(["cohomology", "--m", str(m), "--n", str(n)]) == 0
+    first = f2cohomology.VirtualSwSearch(WallParams(m, n)).first_ruled_out()
+    assert len(calls) == 4 * (first or 0) and first == {(4, 5): 8, (1, 255): None}[m, n]
 
 
 # the same contract for `wallspan clifford` and `wallspan invariants`, whose
