@@ -77,7 +77,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     p = validated(WallParams, args.m, args.n)
     formulas = formula_record(p)
     pspan, fib, sspan = formulas["pspan"], formulas["fibrationUpperBound"], formulas["sspanCpn"]
-    consistent = all(c["passed"] for c in formulas["checks"])
+    consistent = formulas["passed"]
     note = None
     if p.m % 2 == 0 and p.n % 2 == 0 and p.n > 0:
         note = f"m, n both even: span(Q) = 1 < pspan(Q) = {pspan} = m+1"
@@ -176,7 +176,7 @@ def cmd_clifford(args: argparse.Namespace) -> int:
             lines.append(f"A_{j} =")
             lines.extend("  " + row for row in mat.pretty().splitlines())
     emit(obj, args.format, "\n".join(lines) + "\n")
-    return 0 if section["allPassed"] and section["countOk"] else CHECK_FAILED
+    return 0 if section["passed"] else CHECK_FAILED
 
 
 def cmd_fields(args: argparse.Namespace) -> int:

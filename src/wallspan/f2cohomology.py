@@ -33,6 +33,21 @@ minimum of top degrees, final after step 2^L + 1, with dim - k: deciding every k
 computes O(2^L) classes, 2^L <= 2(m + 1).  Only `rule_out(k)` lists witnesses,
 each of the 4k keys k classes reach with its class's lowest degree above dim - k.
 
+The bound is at most m - 1 + 2^(nu+1), nu = nu(n + 1), for every (m, n).  Sending
+x and c to 0 and d to d kills x^2, c^(m+1) - c^m x and d^(n+1), so it is a ring
+map onto F_2[d] / (d^(n+1)) (the restriction to the fibre CP^n); it sends the
+basis element x^e c^i d^j to d^j if e = i = 0 and to 0 otherwise, so it reads off
+the coefficient of each d^j.  It sends w(Q) to (1 + d)^(n+1) and 1 + x, 1 + c,
+1 + x + c and U to 1, so the coefficient of d^j in every virtual class is
+C(n+1, j) mod 2, j <= n.  By Lucas' theorem C(n+1, j) is odd iff the binary
+digits of j are among those of n + 1.  Such a j < n + 1 misses one of them, each
+at least 2^nu, the lowest, so the largest j <= n with C(n+1, j) odd is
+J = n + 1 - 2^nu.  Every class then has the term d^J in degree 2J, so every k
+with dim - k < 2J is ruled out, and the bound is at most dim - 2J =
+m - 1 + 2^(nu+1).  For nu <= 1 (4 does not divide n + 1) that is pspan =
+m + 1 + 2 nu.  That the scan rules out no smaller k, so that the bound equals
+m - 1 + 2^(nu+1), is checked on grids, not proved.
+
 The tests check the ring against sympy's Groebner reduction, a hand expansion
 of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
 with binomial coefficients; none of the three shares code with it.
@@ -339,17 +354,21 @@ class VirtualSwSearch:
         """
         return next((k for k in range(1, self.ring.top_degree + 1) if self.ruled_out(k)), None)
 
+    def upper_bound(self) -> int:
+        """The bound on pspan(Q) the obstruction certifies: the smallest ruled-out
+        k minus one, or dim Q if nothing is ruled out."""
+        first = self.first_ruled_out()
+        return self.ring.top_degree if first is None else first - 1
+
     def admissible_key(self, k: int) -> Key | None:
         """The first key in `_new_keys` order that k classes reach and whose class
         vanishes above dim - k, or None if k is ruled out.  Only the steps
         t <= min(k, 2^L + 1) are searched: a key of a later step repeats a
         residue, so a class, that an earlier step already reached."""
-        allowed = self.ring.top_degree - k
-        for t in range(min(k, self._period + 1) + 1):
-            for key, top in zip(_new_keys(t), self._key_tops(t)):
-                if top <= allowed:
-                    return key
-        return None
+        if self.ruled_out(k):  # which also checks 1 <= k <= dim
+            return None
+        allowed, steps = self.ring.top_degree - k, range(min(k, self._period + 1) + 1)
+        return next(key for t in steps for key, top in zip(_new_keys(t), self._key_tops(t)) if top <= allowed)
 
     def rule_out(self, k: int) -> RuleOutResult:
         """`ruled_out(k)` with its witnesses, each key's failure degree."""
@@ -360,7 +379,5 @@ class VirtualSwSearch:
 
 
 def sw_upper_bound(p: WallParams) -> int:
-    """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies: the
-    smallest ruled-out k minus one, or dim Q(m, n) if nothing is ruled out."""
-    first = VirtualSwSearch(p).first_ruled_out()
-    return p.dim if first is None else first - 1
+    """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies, see `VirtualSwSearch.upper_bound`."""
+    return VirtualSwSearch(p).upper_bound()

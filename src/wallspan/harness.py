@@ -93,7 +93,8 @@ class CampaignConfig:
 
 def clifford_section(family: CliffordFamily) -> dict[str, Any]:
     """The family's exact identities and its count: a case record's `clifford`
-    section, and the verdict of `clifford --format json` and of criterion 1."""
+    section.  Its `passed` (every identity holds and the count is 2 nu(n+1) + 1)
+    is the verdict of the case's family, of `wallspan clifford` and of criterion 1."""
     report = verify_family(family)
     expected = 2 * nu(family.n + 1) + 1
     return {
@@ -105,6 +106,7 @@ def clifford_section(family: CliffordFamily) -> dict[str, Any]:
         "allPassed": report.all_passed,
         "failures": report.failures(),
         "claim": "A_j A_k = -A_k A_j; A_j* = -A_j; conj(A_j) = eps_j A_j (exact)",
+        "passed": report.all_passed and family.count == expected,
     }
 
 
@@ -169,13 +171,14 @@ class Obstruction(NamedTuple):
 def obstruction_check(params: WallParams, pspan: int) -> Obstruction:
     """w(Q) and its rendering, the deciding rule-out, the bound it certifies and bound >= pspan."""
     search = VirtualSwSearch(params)
-    deciding = None if (first := search.first_ruled_out()) is None else search.rule_out(first)
-    bound = params.dim if deciding is None else deciding.k - 1
+    bound = search.upper_bound()
+    deciding = search.rule_out(bound + 1) if bound < params.dim else None
     return Obstruction(search, total_sw_json(search.w), deciding, bound, bound >= pspan)
 
 
 def formula_record(params: WallParams) -> dict[str, Any]:
-    """The closed forms of Q(m, n) and the four formula cross-checks between them."""
+    """The closed forms of Q(m, n), the four formula cross-checks between them and
+    `passed`, whether all four hold: the verdict of `wallspan invariants` too."""
     pspan = pspan_wall(params)
     fib = upper_bound_fibration(params)
     checks = [
@@ -196,7 +199,8 @@ def formula_record(params: WallParams) -> dict[str, Any]:
             pspan - (params.m + 1) == 2 * params.nu >= 0,
         ),
     ]
-    return {"pspan": pspan, "fibrationUpperBound": fib, "sspanCpn": sspan_cpn(params.n), "checks": checks}
+    record = {"pspan": pspan, "fibrationUpperBound": fib, "sspanCpn": sspan_cpn(params.n), "checks": checks}
+    return {**record, "passed": all(c["passed"] for c in checks)}
 
 
 def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], CaseTimings]:
@@ -317,9 +321,8 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
     }
     record["passed"] = all(
         [
-            all(c["passed"] for c in formulas["checks"]),
-            clifford_record["allPassed"],
-            clifford_record["countOk"],
+            formulas["passed"],
+            clifford_record["passed"],
             signs_all_ok,
             ranks_ok,
             tangency_ok,

@@ -4,6 +4,8 @@ Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines;
 `wallspan accept` drives the same checks from the command line.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,27 @@ def test_sspan_table_checks_its_nu_column(monkeypatch):
     result = acc.criterion_sspan_table()
     assert not result.passed
     assert result.details == "failures: ['n+1=8: nu 3 != 2']"
+
+
+def test_clifford_criterion_reads_the_sections_verdict(monkeypatch):
+    # every identity holds and every count is right, but the n = 2 section's verdict says no
+    section = acc.clifford_section
+    monkeypatch.setattr(acc, "clifford_section", lambda family: {**section(family), "passed": family.n != 2})
+    result = acc.criterion_clifford_exact()
+    assert not result.passed
+    assert result.details == "failures: ['n=2: []'] (budget 1.0s)"
+
+
+def test_consistency_criterion_reads_each_cases_bound_check(acceptance):
+    # the bound half reads the case's sw_bound_not_below_pspan check; here the
+    # numbers still agree, so only the check can fail the criterion
+    report = copy.deepcopy(acceptance.campaign.report)
+    case = report["cases"][5]
+    assert case["cohomology"]["swUpperBound"] >= case["formulas"]["pspan"]
+    next(c for c in case["cohomology"]["checks"] if c["name"] == "sw_bound_not_below_pspan")["passed"] = False
+    result = acc.criterion_consistency(acceptance.campaign._replace(report=report))
+    assert not result.passed
+    assert result.details == f"failures: ['({case['m']},{case['n']}) obstruction bound below pspan']"
 
 
 def test_clifford_criterion_names_each_broken_family(monkeypatch):

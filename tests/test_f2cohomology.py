@@ -454,6 +454,9 @@ def test_admissible_key_is_the_first_passing_witness():
                 passing = next(key for key, failure in search.rule_out(k).witnesses if failure is None)
                 assert search.admissible_key(k) == passing, (m, n, k)
             assert first is None or search.admissible_key(first) is None, (m, n)
+            for k in (0, -1, search.ring.top_degree + 1):  # outside 1 <= k <= dim, as for ruled_out
+                with pytest.raises(ValueError, match="need 1 <= k <= dim"):
+                    search.admissible_key(k)
 
 
 def test_sw_upper_bound_closed_form():
@@ -461,6 +464,23 @@ def test_sw_upper_bound_closed_form():
     for m in range(1, 13):
         for n in range(64):
             assert sw_upper_bound(WallParams(m, n)) == m - 1 + 2 ** (nu(n + 1) + 1), (m, n)
+
+
+def test_fibre_coefficients_follow_lucas():
+    # the "<=" half of the module docstring: x, c -> 0 sends every virtual class to
+    # (1 + d)^(n+1), so the coefficient of the basis element d^j is C(n+1, j) mod 2;
+    # the largest such odd j <= n is J = n + 1 - 2^nu(n+1), and bound <= dim - 2J.
+    # Every reachable key of one period: those of steps 0 .. 2^L + 1
+    for m in range(1, 9):
+        for n in range(24):
+            p = WallParams(m, n)
+            search = VirtualSwSearch(p)
+            lucas = {j for j in range(n + 1) if comb(n + 1, j) % 2}
+            for key in (key for t in range(search._period + 2) for key in _new_keys(t)):
+                monos = GradedF2Poly(search.ring, *search._packed_class(key)).monos
+                assert {j for e, i, j in monos if e == i == 0} == lucas, (m, n, key)
+            big_j = n + 1 - 2 ** nu(n + 1)
+            assert max(lucas) == big_j and sw_upper_bound(p) <= p.dim - 2 * big_j, (m, n)
 
 
 def test_sw_upper_bound_values():

@@ -93,6 +93,7 @@ CLIFFORD_SECTIONS = {
         "allPassed": True,
         "failures": [],
         "claim": CLAIM,
+        "passed": True,
     }
     for n, count, total in ((0, 1, 2), (1, 3, 9), (3, 5, 20))
 }
@@ -234,6 +235,17 @@ def test_cli_invariants_even_note(capsys):
     assert "span(Q) = 1 < pspan(Q) = 3" in out
 
 
+def test_cli_invariants_exit_code_is_the_records_verdict(capsys, monkeypatch):
+    # every check of the record passes, but its own verdict says no: the CLI follows the verdict
+    record = harness.formula_record(WallParams(1, 3))
+    assert all(c["passed"] for c in record["checks"])
+    monkeypatch.setattr(cli, "formula_record", lambda p: {**record, "passed": False})
+    assert main(["invariants", "--m", "1", "--n", "3"]) == 1
+    assert "consistency              FAIL" in capsys.readouterr().out
+    assert main(["invariants", "--m", "1", "--n", "3", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["consistent"] is False
+
+
 def test_cli_invariants_rejects_bad_params(capsys):
     assert main(["invariants", "--m", "0", "--n", "1"]) == 2
     assert "error" in capsys.readouterr().err
@@ -296,9 +308,9 @@ def test_cohomology_lists_witnesses_for_the_deciding_k_only(capsys, monkeypatch,
 # reports share the envelope with `cohomology`; (2, 2) carries the even note
 REPORT_SHA256 = {
     ("clifford --n 1", "text"): "b22940c1b9514204454e196604d8fd4f0afdcdfef4e6a219819f392c856fd856",
-    ("clifford --n 1", "json"): "db05d72d012acc6daee6ea9b9b8e5800b5204bb379dcb7eaf3a56b03b9efcaf3",
+    ("clifford --n 1", "json"): "c6c17f956903f4422f217f8bfd0c8ccbebd95289093b73024f04341848adbc60",
     ("clifford --n 7", "text"): "a40149b67aa76cab1616d332a2239051e38527cad4dea61779a5e50acac660c1",
-    ("clifford --n 7", "json"): "53ade1c997430531dc93569c26fb1963c953a1c42a81681e08256be0e1a8bc14",
+    ("clifford --n 7", "json"): "3ce61735adc7ba0d7f5b085d07b96b9f452ba6d051d6fc0d7e51152ffe1b6cb3",
     ("invariants --m 2 --n 2", "text"): "83f48db6752e0f322da981532a0c85a03c1e4db1dc0b75d43efc381c63b328aa",
     ("invariants --m 2 --n 2", "json"): "80db647e77eb03cc31c42a3127d37b8f3229fd48b3446b56296251948cfe0a42",
     ("invariants --m 1 --n 3", "text"): "e0ac49d941056bf5acb7f27e943fd1e1a55dc9f1104c9aae16248d1cb5efdfbd",
@@ -318,8 +330,8 @@ def test_cli_report_golden(capsys, args, fmt):
 # their last bits, while every sign, rank, fallback count, flag, w(Q), witness
 # and hash stays
 FIELDS_SHA256 = {
-    42: "4b2c268d4ce9aeec0d315fa2bf3a50e9e99912ebc05b19df950ff0c754aff8c9",
-    7919: "efd8f29f52883d64c7185322720c4d2612bd7644eb02daf598df0592e78f2d9b",
+    42: "4983206d7ddc9406949efa364d86d8af71e88486f7bf549c228fc78d9a830fb2",
+    7919: "3ec5b1261bbe5bb1fa616b769bf43ab1a6e49dd3d5f28da6e2507e5d2f6b29fc",
 }
 FLOAT_STATS = {
     "independence": ("minOfMinRelativeSv", "maxOfMinRelativeSv", "maxGramDeviation"),
@@ -370,6 +382,17 @@ def test_cli_clifford(capsys):
     assert {k: obj[k] for k in CLIFFORD_SECTIONS[1]} == CLIFFORD_SECTIONS[1]  # the campaign's section
     assert [g["sign"] for g in obj["generators"]] == [-1, -1, 1]
     assert obj["generators"][0] == {"index": 1, "word": [0, 1, 1], "sign": -1}  # A_1 = iZ = diag(i, -i)
+
+
+def test_cli_clifford_exit_code_is_the_sections_verdict(capsys, monkeypatch):
+    # every identity holds and the count is right, but the section's verdict says no
+    family, section = harness.clifford_for(1)
+    assert section["allPassed"] and section["countOk"]
+    monkeypatch.setattr(cli, "clifford_for", lambda n: (family, {**section, "passed": False}))
+    assert main(["clifford", "--n", "1"]) == 1
+    assert "identities: 9/9 passed" in capsys.readouterr().out
+    assert main(["clifford", "--n", "1", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 @pytest.mark.parametrize("n", [1, 7, 95])
