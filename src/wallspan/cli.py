@@ -2,8 +2,8 @@
 
 Subcommands: `invariants`, `cohomology`, `clifford`, `fields`, `accept`.
 Exit codes: 0 = all checks passed, 1 = a verification check failed,
-2 = usage error (bad flags or parameter ranges, raised as `UsageError`).  Any
-other error is not a usage error: it propagates with its traceback (exit 1).
+2 = usage error (bad flags or parameter ranges, raised as `UsageError`),
+3 = internal error (any other exception, with its traceback on stderr).
 This module only parses flags, renders reports and sets exit codes: the
 checks, their verdicts and the defaults of `fields` and `accept` (grid,
 samples and seed) come from `harness.CampaignConfig` and the `harness`
@@ -32,8 +32,9 @@ from .harness import (
 )
 from .invariants import WallParams, pspan_wall
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class UsageError(ValueError):
@@ -258,6 +259,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:  # a crash, not a failed check: exit 3 keeps the two apart
+        import traceback  # here, not at import: only a crash loads it
+
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 def entry_point() -> None:

@@ -29,7 +29,7 @@ Under this identification componentwise conjugation on the factors is
 componentwise conjugation on C^(n+1), so the identities are entrywise
 statements.  `verify_family` decides each of them from the words with a
 few int bit operations, whatever n is, and its report keeps one bool per
-identity next to the shared tuple of names.  The (perm, phase) arrays are
+identity, naming them only when read.  The (perm, phase) arrays are
 built only for the field engine and for the matrices the CLI prints (n < 8);
 `clifford --format json` writes the words, so x, z and c above decode it.
 
@@ -198,18 +198,22 @@ def build_family(n: int) -> CliffordFamily:
 
 
 class FamilyReport(NamedTuple):
-    """The verdict of each identity, `checks[i]` for the identity named `names[i]`."""
+    """The verdict of each identity, `checks[i]` for the one named `names[i]` (built on read)."""
 
     n: int
-    names: tuple[str, ...]
+    count: int
     checks: tuple[bool, ...]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return _check_names(self.count)
 
     @property
     def all_passed(self) -> bool:
         return all(self.checks)
 
     def failures(self) -> list[str]:
-        return [name for name, passed in zip(self.names, self.checks) if not passed]
+        return [self.names[i] for i, passed in enumerate(self.checks) if not passed]
 
 
 def verify_family(family: CliffordFamily) -> FamilyReport:
@@ -238,7 +242,7 @@ def verify_family(family: CliffordFamily) -> FamilyReport:
     )
     skew = ((c + (x & z).bit_count()) % 2 == 1 for x, z, c in words)
     signs = (c % 2 == (eps == -1) for (_, _, c), eps in zip(words, family.predicted_signs))
-    return FamilyReport(family.n, _check_names(family.count), tuple(chain(anticommute, skew, signs)))
+    return FamilyReport(family.n, family.count, tuple(chain(anticommute, skew, signs)))
 
 
 @cache

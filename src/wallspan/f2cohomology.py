@@ -30,7 +30,8 @@ key's class depends only on its residue (s mod 2^L, p1, p3).  The keys that
 first at step 2^L and (0, 1, 1) first at step 2^L + 1.  So `VirtualSwSearch`
 keeps w U^s for s < 2^L only, and `ruled_out` compares a memoised running
 minimum of top degrees, final after step 2^L + 1, with dim - k: deciding every k
-computes O(2^L) classes, 2^L <= 2(m + 1).  Only `rule_out(k)` lists witnesses,
+computes O(2^L) classes, 2^L <= 2(m + 1), and past that step the first ruled-out
+k is dim - T + 1 for the final minimum T.  Only `rule_out(k)` lists witnesses,
 each of the 4k keys k classes reach with its class's lowest degree above dim - k.
 
 The bound is at most m - 1 + 2^(nu+1), nu = nu(n + 1), for every (m, n).  Sending
@@ -45,8 +46,21 @@ at least 2^nu, the lowest, so the largest j <= n with C(n+1, j) odd is
 J = n + 1 - 2^nu.  Every class then has the term d^J in degree 2J, so every k
 with dim - k < 2J is ruled out, and the bound is at most dim - 2J =
 m - 1 + 2^(nu+1).  For nu <= 1 (4 does not divide n + 1) that is pspan =
-m + 1 + 2 nu.  That the scan rules out no smaller k, so that the bound equals
-m - 1 + 2^(nu+1), is checked on grids, not proved.
+m + 1 + 2 nu.
+
+The bound is at least B = m - 1 + 2^(nu+1) = dim - 2J, so it equals B for every
+(m, n), and B = dim exactly when n + 1 is a power of 2.  The witness is the key
+(m + 2^nu, 0, 1), of k1 = 0, k2 = m - 1 + 2^nu and k3 = 1: it takes m + 2^nu <= B
+classes, and the other 2^nu - 1 classes of a B-multiset are 0, so k = B reaches
+it.  As 1 + x + c = (1 + c)(1 + xU), w U^m (1 + xU) = (1 + c + d)^(n+1), and
+x^2 = 0 gives (1 + xU)^2 = 1, so the key's class is
+
+    (1 + c + d)^(n+1) U^(2^nu) = sum_{j <= J} C(n+1, j) d^j (1 + c)^(J - j),
+
+the terms J < j <= n dropping out as C(n+1, j) is even there (Lucas, as above).
+The j = J term is d^J, in degree 2J, and a term j < J has degree at most
+2j + (J - j) < 2J.  So the class vanishes above 2J = dim - B: k = B is not ruled
+out, and by the monotonicity in `first_ruled_out` no smaller k is either.
 
 The tests check the ring against sympy's Groebner reduction, a hand expansion
 of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
@@ -340,10 +354,14 @@ class VirtualSwSearch:
         dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
-        tops, last = self._min_tops, min(k, self._period + 1)  # no new residue after step 2^L + 1
-        while len(tops) <= last:  # each step's top degrees enter the running minimum once
+        return self._min_top(min(k, self._period + 1)) > dim - k  # no new residue after step 2^L + 1
+
+    def _min_top(self, t: int) -> int:
+        """The least top degree over the keys of steps 0 .. t, memoised."""
+        tops = self._min_tops
+        while len(tops) <= t:  # each step's top degrees enter the running minimum once
             tops.append(min(tops[-1:] + self._key_tops(len(tops))))
-        return tops[last] > dim - k
+        return tops[t]
 
     def first_ruled_out(self) -> int | None:
         """The smallest ruled-out k, or None if no k <= dim is ruled out.
@@ -352,7 +370,10 @@ class VirtualSwSearch:
         classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
         above dim - k, so dropping that class gives a passing k-multiset.
         """
-        return next((k for k in range(1, self.ring.top_degree + 1) if self.ruled_out(k)), None)
+        dim, last = self.ring.top_degree, min(self.ring.top_degree, self._period + 1)
+        firsts = (k for k in range(1, last + 1) if self._min_top(k) > dim - k)
+        first = next(firsts, None) or dim - self._min_top(last) + 1  # past step 2^L + 1 the minimum is final
+        return first if first <= dim else None
 
     def upper_bound(self) -> int:
         """The bound on pspan(Q) the obstruction certifies: the smallest ruled-out

@@ -4,17 +4,28 @@ Each generator is built the long way, as a chain of validated Kronecker
 products of the four 2x2 generators, then embedded block-diagonally, and
 `build_family` returns the stacked `(perm, phase)` arrays with the signs.
 `verify_family` decides the three identities on such arrays with the loop
-over every pair (j, k), two products each, gathered by `gather`.
-`wallspan.clifford` keeps only the Pauli words: its `build_family` must
-give the same arrays, and its `verify_family`, which reads the words alone,
-the same report as this loop on the arrays the words expand to.  The word
-helpers at the end make the broken families the tests feed to both.
+over every pair (j, k), two products each, gathered by `gather`, and names
+each identity itself.  `wallspan.clifford` keeps only the Pauli words: its
+`build_family` must give the same arrays, and its `verify_family`, which
+reads the words alone, the same names and verdicts as this loop on the
+arrays the words expand to.  The word helpers at the end make the broken
+families the tests feed to both.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from wallspan.clifford import CliffordFamily, FamilyReport, GaussMatrix
+from wallspan.clifford import CliffordFamily, GaussMatrix
 from wallspan.invariants import nu as nu_of
+
+
+class Report(NamedTuple):
+    """The reference's verdicts, with the names it builds itself, in report order."""
+
+    n: int
+    names: tuple[str, ...]
+    checks: tuple[bool, ...]
 
 
 def identity(size: int) -> GaussMatrix:
@@ -105,7 +116,7 @@ def build_family(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return np.stack([a.perm for a in matrices]), np.stack([a.phase for a in matrices]), signs
 
 
-def verify_family(perm: np.ndarray, phase: np.ndarray, signs) -> FamilyReport:
+def verify_family(perm: np.ndarray, phase: np.ndarray, signs) -> Report:
     """The three identities on stacked `(perm, phase)` rows, one pair and one row at a time."""
     rows = list(zip(perm, phase))
     names: list[str] = []
@@ -121,7 +132,7 @@ def verify_family(perm: np.ndarray, phase: np.ndarray, signs) -> FamilyReport:
     for j, ((_, h), sign) in enumerate(zip(rows, signs)):
         names.append(f"conjugation_sign[{j + 1}]")
         checks.append(bool(np.all(h % 2 == (sign == -1))))
-    return FamilyReport(perm.shape[1] - 1, tuple(names), tuple(checks))
+    return Report(perm.shape[1] - 1, tuple(names), tuple(checks))
 
 
 # -- broken families, one word or sign changed ---------------------------------

@@ -28,6 +28,7 @@ from clifford_reference import (
     spin_generator,
     tensor_power,
 )
+from wallspan import clifford as clifford_module
 from wallspan.clifford import (
     CliffordFamily,
     GaussMatrix,
@@ -366,6 +367,12 @@ def reference_report(family):
     return ref.verify_family(family.perm, family.phase, family.predicted_signs)
 
 
+def assert_matches_reference(report, family):
+    """Same n, names and verdicts as the reference, which builds its own names."""
+    expected = reference_report(family)
+    assert (report.n, report.names, report.checks) == (expected.n, expected.names, expected.checks)
+
+
 def _broken_families(family):
     """Every generator made Hermitian, replaced by a copy of the next, or mis-signed."""
     for j in range(1, family.count + 1):
@@ -377,12 +384,30 @@ def _broken_families(family):
 @pytest.mark.parametrize("n", [*N_GRID, 23, 63, 95, 127])
 def test_verify_family_matches_pair_loop_reference(n):
     family = build_family(n)
-    assert verify_family(family) == reference_report(family)
+    assert_matches_reference(verify_family(family), family)
     for broken in _broken_families(family):
         report = verify_family(broken)
-        assert report == reference_report(broken)
+        assert_matches_reference(report, broken)
         # with one generator (n even) its copy of itself stays valid
         assert family.count == 1 or not report.all_passed
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4095])
+def test_passing_report_builds_no_name(monkeypatch, n):
+    def no_names(count):
+        raise AssertionError(f"names built for a passing report on {count} generators")
+
+    monkeypatch.setattr(clifford_module, "_check_names", no_names)
+    report = verify_family(build_family(n))
+    assert report.all_passed and report.failures() == []
+
+
+@pytest.mark.parametrize("n", [1, 7, 63])
+def test_failures_match_reference_names(n):
+    for broken in _broken_families(build_family(n)):
+        expected = reference_report(broken)
+        failing = [name for name, passed in zip(expected.names, expected.checks) if not passed]
+        assert failing and verify_family(broken).failures() == failing
 
 
 @st.composite
@@ -405,7 +430,7 @@ def pauli_families(draw):
 @given(pauli_families())
 def test_verify_family_matches_pair_loop_on_random_pauli_words(family):
     # random words commute as often as not, unlike build_family's
-    assert verify_family(family) == reference_report(family)
+    assert_matches_reference(verify_family(family), family)
     rows = np.arange(family.n + 1)
     for (x, z, c), perm, phase in zip(family.words, family.perm, family.phase):
         assert np.array_equal(perm, rows ^ x)

@@ -483,6 +483,71 @@ def test_fibre_coefficients_follow_lucas():
             assert max(lucas) == big_j and sw_upper_bound(p) <= p.dim - 2 * big_j, (m, n)
 
 
+def test_witness_key_proves_the_bound():
+    # the ">=" half of the module docstring: k1 = 0, k2 = m - 1 + 2^nu, k3 = 1 (key
+    # (m + 2^nu, 0, 1)) gives (1 + c + d)^(n+1) U^(2^nu) = sum_{j <= J} C(n+1, j) d^j (1 + c)^(J-j),
+    # expanded here monomial by monomial, so k = B = m - 1 + 2^(nu+1) = dim - 2J is admissible
+    for m in range(1, 9):
+        for n in range(40):
+            p, v = WallParams(m, n), nu(n + 1)
+            search = VirtualSwSearch(p)
+            big_j, bound = n + 1 - 2**v, m - 1 + 2 ** (v + 1)
+            expected = search.ring.element(
+                (0, i, j)
+                for j in range(big_j + 1)
+                if comb(n + 1, j) % 2
+                for i in range(big_j - j + 1)
+                if comb(big_j - j, i) % 2
+            )
+            key_class = search.virtual_class((0, m - 1 + 2**v, 1))
+            assert key_class == expected and max(key_class.degrees()) == 2 * big_j, (m, n)
+            assert p.dim - bound == 2 * big_j and search.upper_bound() == min(p.dim, bound), (m, n)
+            assert not search.ruled_out(bound), (m, n)
+            assert bound == p.dim or search.ruled_out(bound + 1), (m, n)
+
+
+def test_first_ruled_out_matches_the_per_k_search():
+    # the one subtraction past step 2^L + 1 against ruled_out at every k, each on its own
+    # search; the 2-adic ladder n = 2^k - 1 puts dim far past the period
+    grid = [(m, n) for m in range(1, 13) for n in range(128)]
+    for m, n in grid + [(m, 2**k - 1) for m in (1, 16) for k in range(17)]:
+        p = WallParams(m, n)
+        per_k = VirtualSwSearch(p)
+        expected = next((k for k in range(1, p.dim + 1) if per_k.ruled_out(k)), None)
+        assert VirtualSwSearch(p).first_ruled_out() == expected, (m, n)
+
+
+def test_first_ruled_out_reads_the_minimum_after_step_period_plus_one():
+    # fake tops at (4, 5), dim = 15, 2^L = 8: every class has top degree 5 but those of
+    # residue (0, 1, 1), first reached at step 2^L + 1 = 9, have 2; so no k <= 9 is
+    # ruled out, and the final minimum 2 gives the first ruled-out k = 15 - 2 + 1
+    search = VirtualSwSearch(WallParams(4, 5))
+    assert search._period == 8 and search.ring.top_degree == 15
+    search._key_tops = lambda s: [2 if (t % 8, p1, p3) == (0, 1, 1) else 5 for t, p1, p3 in _new_keys(s)]
+    assert search.first_ruled_out() == 14
+    assert [search.ruled_out(k) for k in range(1, 16)] == [k >= 14 for k in range(1, 16)]
+
+
+def test_first_ruled_out_reads_one_period_of_steps(monkeypatch):
+    # at (1, 2^16 - 1), dim = 2^17 and nothing is ruled out: the decision reads the
+    # steps 0 .. 2^L + 1 once each and asks ruled_out about no k
+    calls = Counter()
+    key_tops, ruled_out = VirtualSwSearch._key_tops, VirtualSwSearch.ruled_out
+
+    def counted(name, method):
+        def wrapper(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        return wrapper
+
+    monkeypatch.setattr(VirtualSwSearch, "_key_tops", counted("_key_tops", key_tops))
+    monkeypatch.setattr(VirtualSwSearch, "ruled_out", counted("ruled_out", ruled_out))
+    search = VirtualSwSearch(WallParams(1, 2**16 - 1))
+    assert search.first_ruled_out() is None
+    assert 0 < calls["_key_tops"] <= search._period + 2 and calls["ruled_out"] == 0
+
+
 def test_sw_upper_bound_values():
     assert sw_upper_bound(WallParams(2, 2)) == 3
     assert sw_upper_bound(WallParams(4, 2)) == 5  # m + 1

@@ -499,14 +499,23 @@ class _HugeDraw:
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_cli_internal_error_is_not_a_usage_error(capsys, monkeypatch):
-    # check_unit failing inside a run is no bad flag: main does not return 2,
-    # the error propagates (a traceback and exit status 1 from entry_point)
+    # check_unit failing inside a run is no bad flag and no failed check: main
+    # returns 3, with the traceback on stderr
     stream = fields.stream
     monkeypatch.setattr(fields, "stream", lambda *key: _HugeDraw(stream(*key)))
-    with pytest.raises(ValueError, match="sample 0: z must be a unit vector") as exc:
-        main(["fields", "--m", "1", "--n", "1", "--samples", "5"])
-    assert not isinstance(exc.value, cli.UsageError)
-    assert capsys.readouterr().err == ""
+    assert main(["fields", "--m", "1", "--n", "1", "--samples", "5"]) == cli.INTERNAL_ERROR == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "ValueError: sample 0: z must be a unit vector" in err
+
+
+def test_cli_crash_in_cohomology_exits_3(capsys, monkeypatch):
+    def crash(params, pspan):
+        raise MemoryError("no room for the ring")
+
+    monkeypatch.setattr(cli, "obstruction_check", crash)
+    assert main(["cohomology", "--m", "2", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "MemoryError: no room for the ring" in captured.err
 
 
 def test_run_case_memory_peak():
