@@ -2,7 +2,8 @@
 
 Subcommands: `invariants`, `cohomology`, `clifford`, `fields`, `accept`.
 Exit codes: 0 = all checks passed, 1 = a verification check failed,
-2 = usage error (bad flags or parameter ranges, raised as `UsageError`),
+2 = usage error (bad flags or parameter ranges, raised as `UsageError`, or
+a `cohomology` or `fields` input planned over MEMORY_LIMIT bytes of memory),
 3 = internal error (any other exception, with its traceback on stderr).
 This module only parses flags, renders reports and sets exit codes: the
 checks, their verdicts and the defaults of `fields` and `accept` (grid,
@@ -28,13 +29,13 @@ from .harness import (
     report_envelope,
     report_to_json,
     run_campaign,
-    witnesses_json,
 )
 from .invariants import WallParams, pspan_wall
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+MEMORY_LIMIT = 1 << 30  # bytes: a `cohomology` or `fields` case planned above this exits 2 before it allocates
 
 
 class UsageError(ValueError):
@@ -47,6 +48,20 @@ def validated(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         return make(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def refuse_oversized(cases: Sequence[WallParams], samples: int = 0) -> None:
+    """Raise a UsageError naming the size if a case plans over MEMORY_LIMIT bytes: up to 2^L + 4 obstruction
+    classes of two (dim + 2)(m + 1)-bit ints, w(Q) at ~300 bytes a monomial (each d-exponent a sum of binary
+    digits of n + 1) and, with samples, ~5 S + 2 float64 copies of a sample's tangent matrix."""
+    for p in cases:
+        m1, n1 = p.m + 1, p.n + 1
+        need = ((1 << m1.bit_length()) + 4) * (p.dim + 2) * m1 // 4 + 600 * m1 * min(n1, 1 << n1.bit_count())
+        need += 8 * p.delta * (2 * n1 + m1 + 2) * (5 * samples + 2) if samples else 0
+        if need > MEMORY_LIMIT:
+            raise UsageError(
+                f"Q({p.m}, {p.n}) needs ~{need / 2**30:.4g} GiB, over the {MEMORY_LIMIT >> 30} GiB limit"
+            )
 
 
 def parse_int_spec(spec: str) -> tuple[int, ...]:
@@ -112,43 +127,37 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
     p = validated(WallParams, args.m, args.n)
+    refuse_oversized([p])
     pspan = pspan_wall(p)
-    obstruction = obstruction_check(p, pspan)
-    search = obstruction.search
-    # the admissible k = 1 .. bound, each with a passing key, then the first ruled-out k with its witnesses
-    rule_outs: list[dict[str, Any]] = [
-        {"k": k, "ruledOut": False, "maxAllowedDegree": p.dim - k, "admissibleKey": list(search.admissible_key(k))}
-        for k in range(1, obstruction.bound + 1)
-    ]
-    if deciding := obstruction.deciding:
-        entry = {"k": deciding.k, "ruledOut": True, "maxAllowedDegree": deciding.max_allowed_degree}
-        rule_outs.append({**entry, "witnesses": witnesses_json(deciding.witnesses)})
-
+    section = obstruction_check(p, pspan)
+    checks = {c["name"]: c["passed"] for c in section["checks"]}
+    bound, certified = section["swUpperBound"], checks["witnesses_certify_bound"]
     obj: dict[str, Any] = {
         **report_envelope("cohomology"),
         "m": p.m,
         "n": p.n,
         "dim": p.dim,
         "pspan": pspan,
-        **obstruction.total_sw,
-        "ruleOuts": rule_outs,
-        "swUpperBound": obstruction.bound,
-        "boundNotBelowPspan": obstruction.bound_ok,
+        **{key: section[key] for key in ("totalSw", "totalSwByDegree", "admissibleWitness", "ruledOutWitness")},
+        "swUpperBound": bound,
+        "boundNotBelowPspan": checks["sw_bound_not_below_pspan"],
+        "witnessesCertifyBound": certified,
     }
     lines = [f"w(Q({p.m},{p.n})) = {obj['totalSw']}"]
-    for piece in obj["totalSwByDegree"]:
-        lines.append(f"  w_{piece['degree']} = {piece['value']}")
-    for entry in rule_outs:
-        if entry["ruledOut"]:
-            lines.append(
-                f"k = {entry['k']:2d}: ruled out (every degree-1 multiset fails above degree "
-                f"{entry['maxAllowedDegree']})"
-            )
-        else:
-            lines.append(f"k = {entry['k']:2d}: admissible, passing key {tuple(entry['admissibleKey'])}")
-    lines.append(f"sw upper bound = {obstruction.bound} (pspan = {pspan})")
+    lines += [f"  w_{piece['degree']} = {piece['value']}" for piece in obj["totalSwByDegree"]]
+    key, top = obj["admissibleWitness"].values()
+    lines.append(f"k = {bound}: admissible, key {tuple(key)} has top degree {top} (dim - k = {p.dim - bound})")
+    if ruled := obj["ruledOutWitness"]:
+        lines.append(
+            f"k = {bound + 1}: ruled out, every class has {ruled['monomial']} in degree {ruled['degree']}"
+            f" (dim - k = {p.dim - bound - 1})"
+        )
+    else:
+        lines.append(f"no k <= dim = {p.dim} is ruled out")
+    verdict = "" if certified else ", NOT certified by the witnesses"
+    lines.append(f"sw upper bound = {bound} (pspan = {pspan}){verdict}")
     emit(obj, args.format, "\n".join(lines) + "\n")
-    return 0 if obstruction.bound_ok else CHECK_FAILED
+    return 0 if obj["boundNotBelowPspan"] and certified else CHECK_FAILED
 
 
 def cmd_clifford(args: argparse.Namespace) -> int:
@@ -187,6 +196,7 @@ def cmd_fields(args: argparse.Namespace) -> int:
         if spec is not None
     }
     config = validated(CampaignConfig, **grid, samples_per_case=args.samples, seed=args.seed)
+    refuse_oversized([WallParams(m, n) for m in config.m_values for n in config.n_values], config.samples_per_case)
     result = run_campaign(config)
     emit(result.report, args.format, render_campaign_text(result.report))
     return 0 if result.passed else CHECK_FAILED

@@ -31,8 +31,8 @@ first at step 2^L and (0, 1, 1) first at step 2^L + 1.  So `VirtualSwSearch`
 keeps w U^s for s < 2^L only, and `ruled_out` compares a memoised running
 minimum of top degrees, final after step 2^L + 1, with dim - k: deciding every k
 computes O(2^L) classes, 2^L <= 2(m + 1), and past that step the first ruled-out
-k is dim - T + 1 for the final minimum T.  Only `rule_out(k)` lists witnesses,
-each of the 4k keys k classes reach with its class's lowest degree above dim - k.
+k is dim - T + 1 for the final minimum T.  No report calls `rule_out(k)`, which
+lists the 4k keys k classes reach: it is kept for perfbench's tracer and the tests.
 
 The bound is at most m - 1 + 2^(nu+1), nu = nu(n + 1), for every (m, n).  Sending
 x and c to 0 and d to d kills x^2, c^(m+1) - c^m x and d^(n+1), so it is a ring
@@ -381,16 +381,6 @@ class VirtualSwSearch:
         first = self.first_ruled_out()
         return self.ring.top_degree if first is None else first - 1
 
-    def admissible_key(self, k: int) -> Key | None:
-        """The first key in `_new_keys` order that k classes reach and whose class
-        vanishes above dim - k, or None if k is ruled out.  Only the steps
-        t <= min(k, 2^L + 1) are searched: a key of a later step repeats a
-        residue, so a class, that an earlier step already reached."""
-        if self.ruled_out(k):  # which also checks 1 <= k <= dim
-            return None
-        allowed, steps = self.ring.top_degree - k, range(min(k, self._period + 1) + 1)
-        return next(key for t in steps for key, top in zip(_new_keys(t), self._key_tops(t)) if top <= allowed)
-
     def rule_out(self, k: int) -> RuleOutResult:
         """`ruled_out(k)` with its witnesses, each key's failure degree."""
         ruled_out, allowed = self.ruled_out(k), self.ring.top_degree - k
@@ -402,3 +392,10 @@ class VirtualSwSearch:
 def sw_upper_bound(p: WallParams) -> int:
     """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies, see `VirtualSwSearch.upper_bound`."""
     return VirtualSwSearch(p).upper_bound()
+
+
+def proved_witnesses(p: WallParams) -> tuple[Key, int | None]:
+    """The witnesses of B = m - 1 + 2^(nu+1), see the module docstring: the key (m + 2^nu, 0, 1), admissible
+    at B, and J = n + 1 - 2^nu, whose d^J in w(Q) rules out B + 1, or None if B = dim (n + 1 = 2^nu)."""
+    low = 1 << p.nu  # 2^nu, the lowest binary digit of n + 1
+    return (p.m + low, 0, 1), (p.n + 1 - low) or None

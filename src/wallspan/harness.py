@@ -19,10 +19,10 @@ from typing import Any, NamedTuple
 
 from . import fields as fl
 from .clifford import CliffordFamily, build_family, verify_family
-from .f2cohomology import GradedF2Poly, RuleOutResult, VirtualSwSearch, Witness
+from .f2cohomology import GradedF2Poly, VirtualSwSearch, proved_witnesses, render_monomial
 from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EIGHTH_ROOTS = tuple(
     complex(math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0)) for k in range(8)
@@ -152,28 +152,39 @@ def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
     return {"totalSw": " + ".join(d["value"] for d in by_degree) or "0", "totalSwByDegree": by_degree}
 
 
-def witnesses_json(witnesses: tuple[Witness, ...]) -> list[dict[str, Any]]:
-    """A rule-out result's witnesses: each key [s, k1 mod 2, k3 mod 2] with its failure degree."""
-    return [{"key": list(key), "failureDegree": failure} for key, failure in witnesses]
-
-
-class Obstruction(NamedTuple):
-    """The mod-2 obstruction check of one Q(m, n), as both `run_case` and
-    `wallspan cohomology` report it."""
-
-    search: VirtualSwSearch  # its w is w(Q)
-    total_sw: dict[str, Any]  # the report's totalSw and totalSwByDegree entries
-    deciding: RuleOutResult | None  # rule_out at the first ruled-out k, None if no k <= dim is
-    bound: int
-    bound_ok: bool  # bound >= pspan
-
-
-def obstruction_check(params: WallParams, pspan: int) -> Obstruction:
-    """w(Q) and its rendering, the deciding rule-out, the bound it certifies and bound >= pspan."""
-    search = VirtualSwSearch(params)
-    bound = search.upper_bound()
-    deciding = search.rule_out(bound + 1) if bound < params.dim else None
-    return Obstruction(search, total_sw_json(search.w), deciding, bound, bound >= pspan)
+def obstruction_check(params: WallParams, pspan: int) -> dict[str, Any]:
+    """A case's `cohomology` section, also `wallspan cohomology`'s: w(Q), the scan's bound, the two
+    `proved_witnesses` and three checks.  The witnesses certify the bound if the key is reachable by `bound`
+    classes, its class vanishes above dim - bound, and, unless bound = dim, d^J in w(Q) rules out bound + 1."""
+    search, dim = VirtualSwSearch(params), params.dim
+    bound, (key, big_j) = search.upper_bound(), proved_witnesses(params)
+    top = search.virtual_class((0, key[0] - 1, 1)).degrees()[-1]  # k2 = s - 1 copies of c, k3 = 1 of x + c
+    in_w = big_j is not None and (0, 0, big_j) in search.w.component(2 * big_j).monos
+    certified = key[0] <= bound and top <= dim - bound and (bound == dim or in_w and 2 * big_j > dim - bound - 1)
+    return {
+        **total_sw_json(search.w),
+        "swUpperBound": bound,
+        "ruledOutAtK": bound + 1 if bound < dim else None,
+        "admissibleWitness": {"key": list(key), "topDegree": top},
+        "ruledOutWitness": big_j and {"monomial": render_monomial((0, 0, big_j)), "degree": 2 * big_j},
+        "checks": [
+            _check(
+                "sw_bound_not_below_pspan",
+                "the mod-2 obstruction bound is >= the true projective span",
+                bound >= pspan,
+            ),
+            _check(
+                "top_degree_sw_vanishes",
+                "w_dim(Q) = 0 (the mod-2 Euler class of a mapping torus vanishes)",
+                search.w.component(dim).is_zero(),
+            ),
+            _check(
+                "witnesses_certify_bound",
+                "the key (m + 2^nu, 0, 1) is admissible at the bound and, below dim, d^J rules out one more",
+                certified,
+            ),
+        ],
+    }
 
 
 def formula_record(params: WallParams) -> dict[str, Any]:
@@ -267,28 +278,8 @@ def run_case(m: int, n: int, config: CampaignConfig) -> tuple[dict[str, Any], Ca
 
     # cohomology: total class and the obstruction bound
     t0 = time.perf_counter()
-    obstruction = obstruction_check(params, pspan)
+    cohomology_record = obstruction_check(params, pspan)
     timings.cohomology += time.perf_counter() - t0
-
-    deciding = obstruction.deciding
-    cohomology_record = {
-        **obstruction.total_sw,
-        "swUpperBound": obstruction.bound,
-        "ruledOutAtK": deciding.k if deciding else None,
-        "ruleOutWitnesses": witnesses_json(deciding.witnesses) if deciding else [],
-        "checks": [
-            _check(
-                "sw_bound_not_below_pspan",
-                "the mod-2 obstruction bound is >= the true projective span",
-                obstruction.bound_ok,
-            ),
-            _check(
-                "top_degree_sw_vanishes",
-                "w_dim(Q) = 0 (the mod-2 Euler class of a mapping torus vanishes)",
-                obstruction.search.w.component(params.dim).is_zero(),
-            ),
-        ],
-    }
 
     record = {
         "m": m,

@@ -443,22 +443,6 @@ def test_scan_computes_one_period_of_powers():
     assert search.first_ruled_out() is None and len(search._powers) <= search._period == 32
 
 
-def test_admissible_key_is_the_first_passing_witness():
-    # the key read off the top degrees of the first 2^L + 2 steps, against the
-    # first key whose failure degree is None among all 4k witnesses of rule_out(k)
-    for m in range(1, 9):
-        for n in range(40):
-            search = VirtualSwSearch(WallParams(m, n))
-            first = search.first_ruled_out()
-            for k in range(1, first or search.ring.top_degree + 1):
-                passing = next(key for key, failure in search.rule_out(k).witnesses if failure is None)
-                assert search.admissible_key(k) == passing, (m, n, k)
-            assert first is None or search.admissible_key(first) is None, (m, n)
-            for k in (0, -1, search.ring.top_degree + 1):  # outside 1 <= k <= dim, as for ruled_out
-                with pytest.raises(ValueError, match="need 1 <= k <= dim"):
-                    search.admissible_key(k)
-
-
 def test_sw_upper_bound_closed_form():
     # the scan's bound is m - 1 + 2^(nu(n+1) + 1) over the whole grid
     for m in range(1, 13):

@@ -3,8 +3,15 @@
 import hashlib
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
 from functools import lru_cache, partial
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +27,7 @@ from wallspan.harness import (
     run_campaign,
     run_case,
 )
-from wallspan.invariants import WallParams
+from wallspan.invariants import WallParams, nu
 
 SMALL = CampaignConfig(m_values=(1, 2), n_values=(0, 1), samples_per_case=5, seed=7)
 
@@ -254,16 +261,13 @@ def test_cli_invariants_rejects_bad_params(capsys):
 def test_cli_cohomology(capsys):
     assert main(["cohomology", "--m", "2", "--n", "2", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["swUpperBound"] == 3
-    ruled = {e["k"]: e["ruledOut"] for e in obj["ruleOuts"]}
-    assert ruled[3] is False and ruled[4] is True
-    # the list stops at the first ruled-out k, whose 4k keys all fail above degree dim - k = 3
-    assert [e["k"] for e in obj["ruleOuts"]] == [1, 2, 3, 4] and obj["dim"] == 7
-    witnesses = obj["ruleOuts"][-1]["witnesses"]
-    assert len(witnesses) == 16 and all(w["failureDegree"] > 3 for w in witnesses)
-    assert witnesses[0] == {"key": [0, 0, 0], "failureDegree": 4}
-    assert obj["ruleOuts"][2]["admissibleKey"] == [3, 0, 1]  # {x+c, x+c, x+c} passes at k = 3
-    assert "kMax" not in obj and obj["boundNotBelowPspan"] is True
+    assert obj["swUpperBound"] == 3 and obj["dim"] == 7
+    # {x+c, c, c}: key (3, 0, 1), whose class vanishes above degree 4 = dim - 3
+    assert obj["admissibleWitness"] == {"key": [3, 0, 1], "topDegree": 4}
+    # every class has d^2 in degree 4 > dim - 4 = 3, so k = 4 is ruled out
+    assert obj["ruledOutWitness"] == {"monomial": "d^2", "degree": 4}
+    assert obj["boundNotBelowPspan"] is obj["witnessesCertifyBound"] is True
+    assert "ruleOuts" not in obj and "kMax" not in obj
 
 
 def test_cli_cohomology_smallest(capsys):
@@ -272,16 +276,16 @@ def test_cli_cohomology_smallest(capsys):
 
 
 # sha256 of `wallspan cohomology` output, text and --format json: the report
-# bytes are a contract, so a rework of the rule-out scan must leave them unchanged
+# bytes are a contract, so a rework of the obstruction must leave them unchanged
 COHOMOLOGY_SHA256 = {
-    (2, 2, "text"): "35292fbff284d0a998b5738b42e2aac713479fbf15d55985dc4b901982c44010",
-    (2, 2, "json"): "4e0e6c72c37efceaae10bc5f8b17e998adbdc3e8436d4900eff28cd51c4c6a31",
-    (4, 5, "text"): "b43a8d28c010c7a5ace6ca2b944420b79e5d64b04a580611e5626dc2161b03e0",
-    (4, 5, "json"): "04807378b6006ca96d8db16ef3070cace6ed10b521e54b55deef34911e028672",
-    (10, 7, "text"): "e8d1b0a4804c73057705f31b064da5722748cb50cfbacef0b25fef5785f61092",
-    (10, 7, "json"): "b2aeaf4cf48337e213cb247b2cebf547fc5ed457fa20a1f07012b7019c966749",
-    (16, 255, "text"): "ad66480de1c0f1ef273f73e03f236fbec31eac406f2289fc783923a297f4822d",
-    (16, 255, "json"): "f707ce1c124c1ee91a252d300db31548772839335e6ab7fcc856d128006e49c3",
+    (2, 2, "text"): "a6010babdb184a1e6ba6cda1dababbd7d69e50570be47a27062734b80fc11fc1",
+    (2, 2, "json"): "e2aef1d113a5246c50bb4a2df1313a1bfc6ddd580c217cfdc326bc3ccdfe18bd",
+    (4, 5, "text"): "913714dd343bb2472e64ed8740f59616fee6800ff6312b444abe766464a8b4f1",
+    (4, 5, "json"): "e373ec8de41a32648e247171eef2677900beb028c6598569b35e79572941819d",
+    (10, 7, "text"): "190a6e1acd45acc619dae1a9f65a34742f166c6816adac8408c904661dadb8a6",
+    (10, 7, "json"): "6b3b5540be03a95d19b793c88c12c7ed752be4539c2c122b37bf48abfc60f3be",
+    (16, 255, "text"): "6919fd33ab67a35633876569c5d3b5e5d24ba9876e25d767b3d77aed84846675",
+    (16, 255, "json"): "8b9adbf202595997bea75b7095c8eb5043b9abfeb720375782fd0b809e8742ef",
 }
 
 
@@ -293,28 +297,68 @@ def test_cli_cohomology_golden(capsys, m, n, fmt):
 
 
 @pytest.mark.parametrize("m,n", [(4, 5), (1, 255)])
-def test_cohomology_lists_witnesses_for_the_deciding_k_only(capsys, monkeypatch, m, n):
-    # each admissible row's key comes from the top degrees alone; only the first
-    # ruled-out k lists its 4k witnesses, and (1, 255) rules out no k <= dim
-    failure_degree, calls = f2cohomology.VirtualSwSearch.class_failure_degree, []
-    counted = lambda self, key, allowed: calls.append(key) or failure_degree(self, key, allowed)
-    monkeypatch.setattr(f2cohomology.VirtualSwSearch, "class_failure_degree", counted)
-    assert main(["cohomology", "--m", str(m), "--n", str(n)]) == 0
-    first = f2cohomology.VirtualSwSearch(WallParams(m, n)).first_ruled_out()
-    assert len(calls) == 4 * (first or 0) and first == {(4, 5): 8, (1, 255): None}[m, n]
+def test_case_and_cohomology_call_no_witness_scan(capsys, monkeypatch, m, n):
+    # both reports take their witnesses from proved_witnesses and the ring, not
+    # from the 4k-key scan that rule_out and class_failure_degree run
+    def refuse(*args):
+        raise AssertionError("the witness scan ran")
+
+    for name in ("rule_out", "class_failure_degree"):
+        monkeypatch.setattr(f2cohomology.VirtualSwSearch, name, refuse)
+    record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
+    assert record["passed"]
+    assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witnessesCertifyBound"] is True
+
+
+def test_obstruction_check_reports_the_proved_witnesses():
+    # the key [m + 2^nu, 0, 1] with top degree 2J on the ring, and d^J for the
+    # largest J <= n with C(n+1, J) odd, null exactly when n + 1 is a power of 2
+    for m in range(1, 13):
+        for n in range(64):
+            p = WallParams(m, n)
+            section = harness.obstruction_check(p, p.delta)
+            big_j = max(j for j in range(n + 1) if comb(n + 1, j) % 2)
+            admissible, ruled = section["admissibleWitness"], section["ruledOutWitness"]
+            assert admissible == {"key": [m + 2 ** nu(n + 1), 0, 1], "topDegree": 2 * big_j}, (m, n)
+            if n + 1 & n:  # not a power of 2
+                assert ruled == {"monomial": "d" if big_j == 1 else f"d^{big_j}", "degree": 2 * big_j}, (m, n)
+            else:
+                assert ruled is None and section["swUpperBound"] == p.dim, (m, n)
+            assert all(c["passed"] for c in section["checks"]), (m, n)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("m,n", [(1, 11), (2, 2), (1, 1), (3, 6)])
+def test_shifted_bound_fails_the_witness_check(capsys, monkeypatch, m, n, shift):
+    # the scan and the proof pin each other: a bound of B - 1 or B + 1 fails
+    # witnesses_certify_bound, the case's passed and the cohomology exit code;
+    # at (1, 11) B - 1 = 7 is still >= pspan = 6, so only the witness check fails
+    upper_bound = f2cohomology.VirtualSwSearch.upper_bound
+    monkeypatch.setattr(f2cohomology.VirtualSwSearch, "upper_bound", lambda self: upper_bound(self) + shift)
+    record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
+    checks = {c["name"]: c["passed"] for c in record["cohomology"]["checks"]}
+    assert checks["witnesses_certify_bound"] is False and record["passed"] is False
+    assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["witnessesCertifyBound"] is False
+    if (m, n) == (1, 11):
+        assert report["boundNotBelowPspan"] is True and checks["sw_bound_not_below_pspan"] is True
+    assert main(["cohomology", "--m", str(m), "--n", str(n)]) == 1
+    assert "NOT certified by the witnesses" in capsys.readouterr().out
 
 
 # the same contract for `wallspan clifford` and `wallspan invariants`, whose
 # reports share the envelope with `cohomology`; (2, 2) carries the even note
 REPORT_SHA256 = {
     ("clifford --n 1", "text"): "b22940c1b9514204454e196604d8fd4f0afdcdfef4e6a219819f392c856fd856",
-    ("clifford --n 1", "json"): "c6c17f956903f4422f217f8bfd0c8ccbebd95289093b73024f04341848adbc60",
+    ("clifford --n 1", "json"): "31e1f18b4d0ca35e7512a5fb944ba2424c8ca8f7b004ac624201daea8e2081ba",
     ("clifford --n 7", "text"): "a40149b67aa76cab1616d332a2239051e38527cad4dea61779a5e50acac660c1",
-    ("clifford --n 7", "json"): "3ce61735adc7ba0d7f5b085d07b96b9f452ba6d051d6fc0d7e51152ffe1b6cb3",
+    ("clifford --n 7", "json"): "04fe52efd6fcaf3f7fce3ff4ea631eaf755b091e61fa8a3f7617aab872570f50",
     ("invariants --m 2 --n 2", "text"): "83f48db6752e0f322da981532a0c85a03c1e4db1dc0b75d43efc381c63b328aa",
-    ("invariants --m 2 --n 2", "json"): "80db647e77eb03cc31c42a3127d37b8f3229fd48b3446b56296251948cfe0a42",
+    ("invariants --m 2 --n 2", "json"): "16a19b3840e8284bc9cb03cbc6fd59d79e756f84795f40c2ef8ec78d4c7d5af7",
     ("invariants --m 1 --n 3", "text"): "e0ac49d941056bf5acb7f27e943fd1e1a55dc9f1104c9aae16248d1cb5efdfbd",
-    ("invariants --m 1 --n 3", "json"): "3d6407903454521f5b4b3a11860090b786ddf8fcfd24ce36eed01b600b177fde",
+    ("invariants --m 1 --n 3", "json"): "617cb70cf451e6aac3828e73bcbae117f7398ee86435642bd4f71d622cdbc533",
 }
 
 
@@ -330,8 +374,8 @@ def test_cli_report_golden(capsys, args, fmt):
 # their last bits, while every sign, rank, fallback count, flag, w(Q), witness
 # and hash stays
 FIELDS_SHA256 = {
-    42: "4983206d7ddc9406949efa364d86d8af71e88486f7bf549c228fc78d9a830fb2",
-    7919: "3ec5b1261bbe5bb1fa616b769bf43ab1a6e49dd3d5f28da6e2507e5d2f6b29fc",
+    42: "4b7f8d4b9d13979778c59c0825578848f4a7106ca62e91097bd13fe08a36ffa6",
+    7919: "164d7150e3d06b44aae4d519451312f31dbb93b396f5bd1b3f1becff27c83c9b",
 }
 FLOAT_STATS = {
     "independence": ("minOfMinRelativeSv", "maxOfMinRelativeSv", "maxGramDeviation"),
@@ -354,17 +398,21 @@ def test_cli_fields_golden(capsys, seed):
 
 @pytest.mark.parametrize("m,n", [(1, 0), (2, 2), (4, 5)])
 def test_case_and_cohomology_report_share_the_obstruction(capsys, m, n):
-    # a campaign case and `wallspan cohomology` take w(Q), the scan, the bound
-    # and its verdict from the one harness.obstruction_check
+    # a campaign case and `wallspan cohomology` take w(Q), the bound, the two
+    # witnesses and their checks from the one harness.obstruction_check
     record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
     assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    case, last = record["cohomology"], report["ruleOuts"][-1]
-    for key in ("totalSw", "totalSwByDegree", "swUpperBound"):
+    case = record["cohomology"]
+    for key in ("totalSw", "totalSwByDegree", "swUpperBound", "admissibleWitness", "ruledOutWitness"):
         assert case[key] == report[key], key
-    assert case["ruledOutAtK"] == (last["k"] if last["ruledOut"] else None)
-    assert case["ruleOutWitnesses"] == last.get("witnesses", [])
-    assert case["checks"][0]["passed"] is report["boundNotBelowPspan"] is True
+    bound = report["swUpperBound"]
+    assert case["ruledOutAtK"] == (bound + 1 if report["ruledOutWitness"] else None)
+    assert case["ruledOutAtK"] == (None if bound == report["dim"] else bound + 1)
+    checks = {c["name"]: c["passed"] for c in case["checks"]}
+    assert checks["sw_bound_not_below_pspan"] is report["boundNotBelowPspan"] is True
+    assert checks["witnesses_certify_bound"] is report["witnessesCertifyBound"] is True
+    assert "ruleOutWitnesses" not in case
 
 
 def test_total_sw_json_matches_per_degree_render():
@@ -516,6 +564,44 @@ def test_cli_crash_in_cohomology_exits_3(capsys, monkeypatch):
     assert main(["cohomology", "--m", "2", "--n", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "MemoryError: no room for the ring" in captured.err
+
+
+ADDRESS_SPACE_CAP = 1 << 30  # bytes of address space the child of the refusal test may map
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "cohomology --m 1 --n 1099511627775",
+        "cohomology --m 1000000 --n 3",
+        "fields --m 1 --n 1099511627775 --samples 1",
+    ],
+)
+def test_oversized_input_exits_2_before_allocating(args):
+    # each of these once raised MemoryError (or asked numpy for 16 TiB) under this cap
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = partial(resource.setrlimit, resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "wallspan.cli", *args.split()],
+        env=env, capture_output=True, text=True, preexec_fn=cap, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == "" and "GiB" in run.stderr and "over the 1 GiB limit" in run.stderr
+    assert elapsed < 1.0
+
+
+def test_shipped_inputs_plan_under_the_memory_limit():
+    # the default grid, the largest test and CI inputs stay under cli.MEMORY_LIMIT
+    defaults = CampaignConfig()
+    grid = [(m, n, defaults.samples_per_case) for m in defaults.m_values for n in defaults.n_values]
+    ci = [(16, 255, 20), (16, 255, 0), (1, 4095, 0), (1, 24575, 0), (12, 63, 0)]
+    for m, n, samples in grid + ci:
+        cli.refuse_oversized([WallParams(m, n)], samples)
+    with pytest.raises(cli.UsageError, match=r"Q\(1000000, 3\) needs ~2.441e\+08 GiB, over the 1 GiB limit"):
+        cli.refuse_oversized([WallParams(1, 0), WallParams(1000000, 3)])
 
 
 def test_run_case_memory_peak():
