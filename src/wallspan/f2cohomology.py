@@ -24,15 +24,15 @@ A class depends only on its memo key (s, k1 mod 2, k3 mod 2), and k is ruled
 out iff the class of every key that k classes reach has a degree above dim - k.
 
 The period lemma: take 2^L >= m + 2.  Mod 2, (1 + c)^(2^L) = 1 + c^(2^L), and
-c^t = 0 for t >= m + 2, so U^(2^L) = 1, U = prod_{l < L} (1 + c^(2^l)), and a
-key's class depends only on its residue (s mod 2^L, p1, p3).  The keys that
-`_new_keys` lists at steps 0 ... 2^L + 1 reach all 4 * 2^L residues, (0, 0, 1)
-first at step 2^L and (0, 1, 1) first at step 2^L + 1.  So `VirtualSwSearch`
-keeps w U^s for s < 2^L only, and `ruled_out` compares a memoised running
-minimum of top degrees, final after step 2^L + 1, with dim - k: deciding every k
-computes O(2^L) classes, 2^L <= 2(m + 1), and past that step the first ruled-out
-k is dim - T + 1 for the final minimum T.  No report calls `rule_out(k)`, which
-lists the 4k keys k classes reach: it is kept for perfbench's tracer and the tests.
+c^t = 0 for t >= m + 2, so U^(2^L) = 1 and a key's class depends only on its
+residue (s mod 2^L, p1, p3).  The keys that `_new_keys` lists at steps 0 ...
+2^L + 1 reach all 4 * 2^L residues, (0, 0, 1) first at step 2^L and (0, 1, 1) at
+2^L + 1, so `ruled_out` compares a memoised running minimum of top degrees, final
+after step 2^L + 1, with dim - k; past it the first ruled-out k is dim - T + 1
+for the final minimum T.  As w U^s = w (1 + c)^(2^L - s), `VirtualSwSearch` lists
+the w U^r the scan reads, r <= R = min(dim + 1, 2^L - 1), one factor 1 + c apart
+from w U^R, which takes one factor 1 + c^(2^t) per binary digit 2^t of 2^L - R:
+at most 2^L + L factors, 2^L <= 2(m + 1).  Only perfbench and tests call `rule_out`.
 
 The bound is at most m - 1 + 2^(nu+1), nu = nu(n + 1), for every (m, n).  Sending
 x and c to 0 and d to d kills x^2, c^(m+1) - c^m x and d^(n+1), so it is a ring
@@ -305,17 +305,21 @@ class VirtualSwSearch:
         self.w = total_sw_wall(p)
         self.ring = self.w.ring
         self._block = self.ring.block  # bits per degree
-        self._u_steps = [1 << l for l in range((p.m + 1).bit_length())]  # 2^L > m + 1
-        self._period = 2 * self._u_steps[-1]  # 2^L, as U^(2^L) = 1
-        self._powers = [(self.w.h0, self.w.h1)]  # w U^s for s = 0, 1, ..., 2^L - 1
+        period = self._period = 1 << (p.m + 1).bit_length()  # 2^L > m + 1, as U^(2^L) = 1
+        e, times = period - min(p.dim + 1, period - 1), self.ring.times_one_plus_c  # the scan reads s <= 2^L - e
+        powers = self._powers = [(self.w.h0, self.w.h1)] * (period - e + 1)  # w U^s = w (1 + c)^(2^L - s)
+        powers[-1] = times(self.w.h0, self.w.h1, [1 << t for t in range(e.bit_length()) if e >> t & 1])
+        for s in range(period - e - 1, 0, -1):  # w U^s = w U^(s+1) (1 + c), see the module docstring
+            h0, h1 = times(*powers[s + 1], (1,))
+            powers[s] = h0 | 0, h1 | 0  # copies made after the step frees its temporaries: a compact heap
         self._min_tops: list[int] = []  # least top degree over the keys reachable by k classes
 
     def _power(self, s: int) -> Pair:
-        """w U^s, read at s mod 2^L."""
-        s, powers = s % self._period, self._powers
-        while len(powers) <= s:  # times U = (1 + c)(1 + c^2)(1 + c^4) ... (1 + c^(2^(L-1)))
-            powers.append(self.ring.times_one_plus_c(*powers[-1], self._u_steps))
-        return powers[s]
+        """w U^s = w (1 + c)^e, e = -s mod 2^L: listed, or one factor 1 + c^(2^t) per binary digit 2^t of e."""
+        r, e = s % self._period, -s % self._period
+        if r < len(self._powers):
+            return self._powers[r]
+        return self.ring.times_one_plus_c(*self._powers[0], [1 << t for t in range(e.bit_length()) if e >> t & 1])
 
     def _packed_class(self, key: Key) -> Pair:
         s, p1, p3 = key
@@ -335,12 +339,13 @@ class VirtualSwSearch:
     def _key_tops(self, s: int) -> list[int]:
         """The top degrees of the classes of `_new_keys(s)`, in order, from w U^(s-1),
         w U^s and w U^(s+1); every class is a unit, never 0."""
-        b, (a0, a1) = self._block, self._power(s)
-        if not s:
-            return [((a0 | a1).bit_length() - 1) // b]
-        z0, z1 = self._power(s - 1)
-        classes = [a0 | a1, a0 | a1 ^ self._power(s + 1)[0] << b, z0 | z1 ^ z0 << b, z0 | z1 ^ (z0 ^ a0) << b]
-        return [(h.bit_length() - 1) // b for h in classes[: 3 + (s >= 2)]]
+        b, powers, period = self._block, self._powers, self._period
+        try:  # the scan reads listed residues only
+            (z0, z1), (a0, a1), (y0, _) = powers[(s - 1) % period], powers[s % period], powers[(s + 1) % period]
+        except IndexError:  # a residue past the list, which `_power` builds: the tests', or w U^(-1) at s = 0
+            (z0, z1), (a0, a1), (y0, _) = map(self._power, (s - 1, s, s + 1))
+        classes = [a0 | a1, a0 | a1 ^ y0 << b, z0 | z1 ^ z0 << b, z0 | z1 ^ (z0 ^ a0) << b]
+        return [(h.bit_length() - 1) // b for h in classes[: 3 + (s >= 2) if s else 1]]  # s = 0: w's alone
 
     def class_failure_degree(self, key: Key, allowed: int) -> int | None:
         """The class's lowest degree above `allowed`, or None if it has none."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallspan import f2cohomology
 from wallspan.f2cohomology import (
     GradedF2Poly,
     VirtualSwSearch,
@@ -423,6 +424,42 @@ def test_period_lemma():
             assert all(ring.times_one_plus_c(*powers[s + 1], [1]) == powers[s] for s in range(2 * period - 1))
             assert powers[period:] == powers[:period], (m, n)
             assert [search._power(s) for s in range(2 * period)] == powers, (m, n)
+
+
+def test_powers_and_bound_at_the_period_edges():
+    # m + 2 = 2^k and m + 1 = 2^k: the first listed power w U^r, r = min(dim + 1, 2^L - 1),
+    # sits one or two residues below the period, or far below it at small n; every
+    # residue, listed or built from binary digits, against the times-U chain
+    for k in range(2, 9):
+        for m in ((1 << k) - 2, (1 << k) - 1):
+            for n in (0, 1, 2, 3, 7):
+                p = WallParams(m, n)
+                search = VirtualSwSearch(p)
+                period = search._period
+                powers = unperiodic_powers(p, period)
+                assert [search._power(s) for s in range(period)] == powers, (m, n)
+                assert sw_upper_bound(p) == min(p.dim, m - 1 + 2 ** (nu(n + 1) + 1)), (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(16, 255), (100, 7)])
+def test_scan_multiplies_one_factor_per_power(monkeypatch, m, n):
+    # w U^s = w U^(s+1) (1 + c): building the search and deciding every k multiplies
+    # at most 2^L + L factors 1 + c^t past w(Q), where a times-U step takes L per power
+    p = WallParams(m, n)
+    w, factors = total_sw_wall(p), []
+    times_one_plus_c = WallRing.times_one_plus_c
+
+    def counted(self, h0, h1, ts):
+        ts = list(ts)
+        factors.extend(ts)
+        return times_one_plus_c(self, h0, h1, ts)
+
+    monkeypatch.setattr(f2cohomology, "total_sw_wall", lambda params: w)
+    monkeypatch.setattr(WallRing, "times_one_plus_c", counted)
+    search = VirtualSwSearch(p)
+    assert search.upper_bound() == min(p.dim, m - 1 + 2 ** (nu(n + 1) + 1))
+    period = search._period
+    assert 0 < len(factors) <= period + period.bit_length() - 1, len(factors)
 
 
 def test_rule_out_matches_the_unperiodic_scan():

@@ -348,6 +348,29 @@ def test_shifted_bound_fails_the_witness_check(capsys, monkeypatch, m, n, shift)
     assert "NOT certified by the witnesses" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("m,n", [(1, 2), (4, 5), (3, 7), (2, 0)])
+def test_unreachable_witness_key_fails_the_witness_check(monkeypatch, m, n):
+    # the key (m + 2^nu + 2^L, 0, 1) has the residue, so the class and top degree, of the
+    # proved key, but takes more classes than the bound: only key[0] <= bound can fail
+    proved = harness.proved_witnesses
+
+    def shifted(p):
+        (s, p1, p3), big_j = proved(p)
+        return (s + (1 << (p.m + 1).bit_length()), p1, p3), big_j
+
+    monkeypatch.setattr(harness, "proved_witnesses", shifted)
+    record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
+    section = record["cohomology"]
+    assert section["admissibleWitness"]["topDegree"] == 2 * (n + 1 - 2 ** nu(n + 1)), (m, n)
+    checks = {c["name"]: c["passed"] for c in section["checks"]}
+    assert checks == {
+        "sw_bound_not_below_pspan": True,
+        "top_degree_sw_vanishes": True,
+        "witnesses_certify_bound": False,
+    }
+    assert record["passed"] is False
+
+
 # the same contract for `wallspan clifford` and `wallspan invariants`, whose
 # reports share the envelope with `cohomology`; (2, 2) carries the even note
 REPORT_SHA256 = {
