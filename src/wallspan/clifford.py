@@ -45,7 +45,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from ._lazynp import lazy_numpy
-from .invariants import nu as nu_of
+from .invariants import Record, nu as nu_of
 
 np = lazy_numpy()
 
@@ -110,14 +110,21 @@ def predicted_sign(j: int, nu: int) -> int:
     return -1 if ((j - 1) // 2) % 2 == 0 else 1
 
 
-class CliffordFamily:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class CliffordFamily(Record):
     """The 2*nu(n+1) + 1 automorphisms of C^(n+1) with their conjugation signs.
 
     `words[j - 1]` is A_j's Pauli word (x_j, z_j, c_j).  The stacked
     (count, n + 1) arrays `perm` and `phase` (row j - 1 is A_j), their units
     and the GaussMatrix rows follow from the words, built on first use.
-    Immutable; families compare and hash by (n, words, predicted_signs).
+    Families compare and hash by (n, words, predicted_signs).
     """
+
+    _fields = ("n", "words", "predicted_signs")
 
     def __init__(
         self, n: int, words: tuple[tuple[int, int, int], ...], predicted_signs: tuple[int, ...]
@@ -129,16 +136,6 @@ class CliffordFamily:
             if not 0 <= x < block:
                 raise ValueError(f"word {j}: need 0 <= x < 2^nu = {block}, got x = {x}")
         vars(self).update(n=n, words=words, predicted_signs=predicted_signs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CliffordFamily is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        key = (self.n, self.words, self.predicted_signs)
-        return isinstance(other, CliffordFamily) and key == (other.n, other.words, other.predicted_signs)
-
-    def __hash__(self) -> int:
-        return hash(self.words)  # equal families have equal words
 
     @property
     def nu(self) -> int:
@@ -158,9 +155,7 @@ class CliffordFamily:
 
     @cached_property
     def perm(self) -> np.ndarray:
-        perm = np.arange(self.n + 1) ^ self._column(0)
-        perm.setflags(write=False)
-        return perm
+        return _read_only(np.arange(self.n + 1) ^ self._column(0))
 
     @cached_property
     def phase(self) -> np.ndarray:
@@ -168,14 +163,12 @@ class CliffordFamily:
         bits = np.arange(self.n + 1) & self._column(1)
         for k in reversed(range(max(self.n.bit_length() - 1, 0).bit_length())):
             bits ^= bits >> (1 << k)
-        phase = (self._column(2) + 2 * (bits & 1)) % 4
-        phase.setflags(write=False)
-        return phase
+        return _read_only((self._column(2) + 2 * (bits & 1)) % 4)
 
     @cached_property
     def units(self) -> np.ndarray:
         """i^phase for every row."""
-        return np.array(UNITS)[self.phase]
+        return _read_only(np.array(UNITS)[self.phase])
 
     @cached_property
     def matrices(self) -> tuple[GaussMatrix, ...]:

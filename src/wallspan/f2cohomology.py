@@ -73,7 +73,7 @@ import re
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
-from .invariants import WallParams
+from .invariants import Record, WallParams
 
 Mono = tuple[int, int, int]
 Key = tuple[int, int, int]  # (s, k1 mod 2, k3 mod 2) of a multiset, see VirtualSwSearch
@@ -88,12 +88,14 @@ def _bits(h: int) -> list[int]:
     return [match.start() for match in re.finditer("1", bin(h)[:1:-1])]
 
 
-class WallRing:
+class WallRing(Record):
     """H^*(Q(m, n); F_2) on the basis x^e c^i d^j, e <= 1, i <= m, j <= n.
 
     m = 0 is rejected: the relation c^(m+1) = c^m x would collapse c onto x.
-    Immutable; rings compare and hash by (m, n).
+    Rings compare and hash by (m, n).
     """
+
+    _fields = ("m", "n")
 
     def __init__(self, m: int, n: int) -> None:
         if m < 1:
@@ -105,18 +107,6 @@ class WallRing:
         fibre = ((1 << 2 * b * (n + 1)) - 1) // ((1 << 2 * b) - 1)  # d^j at bit 2jb, j <= n
         basis = fibre * (((1 << (b + 1) * b) - 1) // ((1 << b + 1) - 1))  # times c^i at bit i(b+1), i <= m
         vars(self).update(m=m, n=n, block=b, _c_steps=(firsts, [None] * (b + 1)), _basis_bits=(basis, basis << b))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"WallRing is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WallRing) and (self.m, self.n) == (other.m, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n))
-
-    def __repr__(self) -> str:
-        return f"WallRing(m={self.m}, n={self.n})"
 
     @property
     def top_degree(self) -> int:
@@ -182,28 +172,18 @@ def wall_presentation(m: int, n: int) -> WallRing:
     return WallRing(m, n)
 
 
-class GradedF2Poly:
+class GradedF2Poly(Record):
     """Element of a `WallRing`: its x^0 and x^1 parts h0 and h1, bit-packed.
 
-    Immutable; elements compare and hash by (ring, h0, h1).
+    Elements compare and hash by (ring, h0, h1).
     """
 
-    __slots__ = ("ring", "h0", "h1")
+    __slots__ = _fields = ("ring", "h0", "h1")
 
     def __init__(self, ring: WallRing, h0: int, h1: int) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "h1", h1)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"GradedF2Poly is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        key = (self.ring, self.h0, self.h1)
-        return isinstance(other, GradedF2Poly) and key == (other.ring, other.h0, other.h1)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.h0, self.h1))
 
     def _same_ring(self, other: GradedF2Poly) -> WallRing:
         if self.ring != other.ring:

@@ -20,7 +20,7 @@ from typing import Any, NamedTuple
 from . import fields as fl
 from .clifford import CliffordFamily, build_family, verify_family
 from .f2cohomology import GradedF2Poly, VirtualSwSearch, proved_witnesses, render_monomial
-from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
+from .invariants import Record, WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 3
 
@@ -29,9 +29,11 @@ EIGHTH_ROOTS = tuple(
 )
 
 
-class CampaignConfig:
-    """Grid, sampling budget and seed of a verification campaign.  Immutable;
-    configs compare and hash by their four fields."""
+class CampaignConfig(Record):
+    """Grid, sampling budget and seed of a verification campaign.  Configs
+    compare and hash by their four fields; the grids are stored as tuples."""
+
+    _fields = ("m_values", "n_values", "samples_per_case", "seed")
 
     def __init__(
         self,
@@ -40,6 +42,7 @@ class CampaignConfig:
         samples_per_case: int = 100,
         seed: int = 42,
     ) -> None:
+        m_values, n_values = tuple(m_values), tuple(n_values)
         if not m_values or not n_values:
             raise ValueError("parameter ranges must be non-empty")
         if any(m < 1 for m in m_values):
@@ -54,18 +57,6 @@ class CampaignConfig:
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         vars(self).update(m_values=m_values, n_values=n_values, samples_per_case=samples_per_case, seed=seed)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CampaignConfig is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CampaignConfig) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return self.m_values, self.n_values, self.samples_per_case, self.seed
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

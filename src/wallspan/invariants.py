@@ -24,10 +24,35 @@ def nu(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-class WallParams:
-    """Parameters of the Wall manifold Q(m, n): m >= 1, n >= 0.  Immutable; compares by (m, n)."""
+class Record:
+    """Base of the immutable records: no attribute can be assigned, and records equal
+    (only records of the same type), hash and print by the fields named in `_fields`.
+    Each `__init__` stores its fields inline, by `object.__setattr__` when slotted and
+    `vars(self).update` when not: a shared store helper slowed the obstruction scan."""
 
-    __slots__ = ("m", "n")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self._fields, self._key()))})"
+
+
+class WallParams(Record):
+    """Parameters of the Wall manifold Q(m, n): m >= 1, n >= 0.  Compares by (m, n)."""
+
+    __slots__ = _fields = ("m", "n")
 
     def __init__(self, m: int, n: int) -> None:
         if m < 1:
@@ -36,18 +61,6 @@ class WallParams:
             raise ValueError(f"complex projective dimension n must be >= 0, got {n}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"WallParams is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WallParams) and (self.m, self.n) == (other.m, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n))
-
-    def __repr__(self) -> str:
-        return f"WallParams(m={self.m}, n={self.n})"
 
     @property
     def nu(self) -> int:

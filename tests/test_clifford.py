@@ -341,6 +341,13 @@ def test_verify_family_memory_peak():
     assert report.all_passed and peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize("name", ["perm", "phase", "units"])
+def test_family_arrays_are_read_only(name):
+    # clifford_for caches one family per n, so a write would reach every later case
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(build_family(3), name)[0, 0] = 1
+
+
 def test_verify_family_builds_no_array():
     # 81 generators on C^(2^40): their arrays would hold 2^40 entries per row
     family = build_family(2**40 - 1)

@@ -11,8 +11,8 @@ On numpy >= 2, `np.unique` imports `numpy.ma` lazily, which took 15-16 ms
 numpy 1.x imports it eagerly, and there that check is skipped.
 
 The same interpreters load neither `dataclasses` nor `inspect`: the records
-are NamedTuples and plain classes.  `import wallspan` alone does not load
-`hashlib` either, which only the config hash needs.
+are NamedTuples and subclasses of `invariants.Record`.  `import wallspan`
+alone does not load `hashlib` either, which only the config hash needs.
 """
 
 import os
