@@ -30,9 +30,12 @@ residue (s mod 2^L, p1, p3).  The keys that `_new_keys` lists at steps 0 ...
 2^L + 1, so `ruled_out` compares a memoised running minimum of top degrees, final
 after step 2^L + 1, with dim - k; past it the first ruled-out k is dim - T + 1
 for the final minimum T.  As w U^s = w (1 + c)^(2^L - s), `VirtualSwSearch` lists
-the w U^r the scan reads, r <= R = min(dim + 1, 2^L - 1), one factor 1 + c apart
-from w U^R, which takes one factor 1 + c^(2^t) per binary digit 2^t of 2^L - R:
-at most 2^L + L factors, 2^L <= 2(m + 1).  Only perfbench and tests call `rule_out`.
+the w U^r the scan reads, r <= R = min(dim + 1, 2^L - 1, B + 2), B the bound below,
+one factor 1 + c apart from w U^R, which takes one factor 1 + c^(2^t) per binary
+digit 2^t of 2^L - R: at most 2^L + L factors, 2^L <= 2(m + 1).  Step k reads up to
+w U^(k+1); `first_ruled_out` reads no step past B + 1, criterion 5 none past m + 2,
+the report's key (m + 2^nu, 0, 1) w U^(m + 2^nu + 1), and `_power` builds what
+the tests read past R.  Only perfbench and tests call `rule_out`.
 
 The bound is at most m - 1 + 2^(nu+1), nu = nu(n + 1), for every (m, n).  Sending
 x and c to 0 and d to d kills x^2, c^(m+1) - c^m x and d^(n+1), so it is a ring
@@ -70,8 +73,8 @@ with binomial coefficients; none of the three shares code with it.
 from __future__ import annotations
 
 import re
-from itertools import groupby
-from typing import Iterable, NamedTuple
+from itertools import count, groupby
+from typing import Iterable, Iterator, NamedTuple
 
 from .invariants import Record, WallParams
 
@@ -106,27 +109,30 @@ class WallRing(Record):
         firsts = ((1 << (m + 2 * n + 3) * b) - 1) // ((1 << b) - 1)  # slot 0 of every block to degree dim + 1
         fibre = ((1 << 2 * b * (n + 1)) - 1) // ((1 << 2 * b) - 1)  # d^j at bit 2jb, j <= n
         basis = fibre * (((1 << (b + 1) * b) - 1) // ((1 << b + 1) - 1))  # times c^i at bit i(b+1), i <= m
-        vars(self).update(m=m, n=n, block=b, _c_steps=(firsts, [None] * (b + 1)), _basis_bits=(basis, basis << b))
+        vars(self).update(m=m, n=n, block=b, _firsts=firsts, _c_steps={}, _basis_bits=(basis, basis << b))
 
     @property
     def top_degree(self) -> int:
         return self.m + 2 * self.n + 1
 
-    def times_one_plus_c(self, h0: int, h1: int, ts: Iterable[int]) -> Pair:
-        """(h0, h1) times the product of 1 + c^t over ts, each t >= 1.
+    def _c_step(self, t: int) -> tuple[int, int, int]:
+        """(shift, keep, wrap) of times c^t, t >= 1: with s0 = h0 << shift, c^t (h0, h1) is (s0 & keep,
+        (h1 << shift) & keep ^ (s0 & wrap) >> 1): slot i moves to i + t, keep holds the slots i >= t of a
+        block, and wrap slot 0, c^(m+1) = x c^m, where h0 wraps.  All are 0 for t >= m + 2, as c^t = 0."""
+        if t > self.block:
+            return 0, 0, 0
+        step = self._c_steps.get(t)
+        if step is None:  # built on the first use of its t
+            b, firsts = self.block, self._firsts
+            step = self._c_steps[t] = t * (b + 1), ((1 << b) - (1 << t)) * firsts, firsts
+        return step
 
-        Times c^t shifts by t (m+2) and keeps the slots i >= t of every block;
-        what h0 wraps onto slot 0 is c^(m+1) = x c^m, one bit down in h1.
-        """
-        (firsts, steps), b = self._c_steps, self.block
+    def times_one_plus_c(self, h0: int, h1: int, ts: Iterable[int]) -> Pair:
+        """(h0, h1) times the product of 1 + c^t over ts, each t >= 1, see `_c_step`."""
         for t in ts:
-            if t <= b:  # else c^t = 0
-                step = steps[t]
-                if step is None:  # (shift, keep) of times c^t, built on the first use of its t
-                    step = steps[t] = t * (b + 1), ((1 << b) - (1 << t)) * firsts
-                shift, keep = step
-                s0 = h0 << shift
-                h0, h1 = h0 ^ s0 & keep, h1 ^ (h1 << shift) & keep ^ (s0 & firsts) >> 1
+            shift, keep, wrap = self._c_step(t)
+            s0 = h0 << shift
+            h0, h1 = h0 ^ s0 & keep, h1 ^ (h1 << shift) & keep ^ (s0 & wrap) >> 1
         return h0, h1
 
     def times_d(self, h0: int, h1: int, t: int) -> Pair:
@@ -242,13 +248,16 @@ def total_sw_wall(p: WallParams) -> GradedF2Poly:
     """Total Stiefel-Whitney class w(Q(m, n)) = (1 + c + x) (1 + c)^(m-1) (1 + c + d)^(n+1),
     each power a product of Frobenius factors (see the module docstring)."""
     ring = wall_presentation(p.m, p.n)
-    m1, n1, b = p.m - 1, p.n + 1, ring.block
+    m1, n1, b, (jn0, jn1) = p.m - 1, p.n + 1, ring.block, ring._basis_bits  # jn: the slots j <= n
     h0, h1 = 1 | 2 << b, 1 << b  # 1 + c + x: 1 and c in h0, x in h1
-    h0, h1 = ring.times_one_plus_c(h0, h1, [1 << t for t in range(m1.bit_length()) if m1 >> t & 1])
-    for t in range(n1.bit_length()):
-        if n1 >> t & 1:  # (1 + c^T + d^T) h = (1 + c^T) h + d^T h, T = 2^t
-            (g0, g1), (f0, f1) = ring.times_one_plus_c(h0, h1, [1 << t]), ring.times_d(h0, h1, 1 << t)
-            h0, h1 = g0 ^ f0, g1 ^ f1
+    for t in range(max(m1, n1).bit_length()):  # the digit T = 2^t
+        shift, keep, wrap = ring._c_step(1 << t) if (m1 | n1) >> t & 1 else (0, 0, 0)
+        if m1 >> t & 1:  # times 1 + c^T
+            s0 = h0 << shift
+            h0, h1 = h0 ^ s0 & keep, h1 ^ (h1 << shift) & keep ^ (s0 & wrap) >> 1
+        if n1 >> t & 1:  # times 1 + c^T + d^T; times d^T shifts by 2T blocks and keeps j <= n
+            s0, d = h0 << shift, 2 * b << t
+            h0, h1 = h0 ^ s0 & keep ^ (h0 << d) & jn0, h1 ^ (h1 << shift) & keep ^ (s0 & wrap) >> 1 ^ (h1 << d) & jn1
     return GradedF2Poly(ring, h0, h1)
 
 
@@ -283,15 +292,18 @@ class VirtualSwSearch:
 
     def __init__(self, p: WallParams) -> None:
         self.w = total_sw_wall(p)
-        self.ring = self.w.ring
-        self._block = self.ring.block  # bits per degree
+        ring = self.ring = self.w.ring
+        self._block = ring.block  # bits per degree
         period = self._period = 1 << (p.m + 1).bit_length()  # 2^L > m + 1, as U^(2^L) = 1
-        e, times = period - min(p.dim + 1, period - 1), self.ring.times_one_plus_c  # the scan reads s <= 2^L - e
-        powers = self._powers = [(self.w.h0, self.w.h1)] * (period - e + 1)  # w U^s = w (1 + c)^(2^L - s)
-        powers[-1] = times(self.w.h0, self.w.h1, [1 << t for t in range(e.bit_length()) if e >> t & 1])
-        for s in range(period - e - 1, 0, -1):  # w U^s = w U^(s+1) (1 + c), see the module docstring
-            h0, h1 = times(*powers[s + 1], (1,))
-            powers[s] = h0 | 0, h1 | 0  # copies made after the step frees its temporaries: a compact heap
+        top = min(p.dim + 1, period - 1, p.m + 1 + (2 << p.nu))  # the residues read, see the module docstring
+        self._powers = [(self.w.h0, self.w.h1)]
+        powers = self._powers = self._powers * top + [self._power(top)]  # w U^top from the binary digits of 2^L - top
+        (h0, h1), (shift, keep, wrap) = powers[top], ring._c_step(1)
+        for s in range(top - 1, 0, -1):  # w U^s = w U^(s+1) (1 + c)
+            s0 = h0 << shift
+            g0, g1 = h0 ^ s0 & keep, h1 ^ (h1 << shift) & keep ^ (s0 & wrap) >> 1
+            del s0  # copies made once the step's temporaries are freed: a compact heap
+            powers[s] = h0, h1 = g0 | 0, g1 | 0
         self._min_tops: list[int] = []  # least top degree over the keys reachable by k classes
 
     def _power(self, s: int) -> Pair:
@@ -316,16 +328,32 @@ class VirtualSwSearch:
         k1, k2, k3 = triple
         return GradedF2Poly(self.ring, *self._packed_class((k2 + k3, k1 & 1, k3 & 1)))
 
-    def _key_tops(self, s: int) -> list[int]:
-        """The top degrees of the classes of `_new_keys(s)`, in order, from w U^(s-1),
-        w U^s and w U^(s+1); every class is a unit, never 0."""
-        b, powers, period = self._block, self._powers, self._period
-        try:  # the scan reads listed residues only
-            (z0, z1), (a0, a1), (y0, _) = powers[(s - 1) % period], powers[s % period], powers[(s + 1) % period]
-        except IndexError:  # a residue past the list, which `_power` builds: the tests', or w U^(-1) at s = 0
-            (z0, z1), (a0, a1), (y0, _) = map(self._power, (s - 1, s, s + 1))
-        classes = [a0 | a1, a0 | a1 ^ y0 << b, z0 | z1 ^ z0 << b, z0 | z1 ^ (z0 ^ a0) << b]
-        return [(h.bit_length() - 1) // b for h in classes[: 3 + (s >= 2) if s else 1]]  # s = 0: w's alone
+    def _step_tops(self, s: int) -> Iterator[int]:
+        """The least top degree of the classes of `_new_keys(t)` for each step t = s, s + 1, ...: from the
+        window w U^(t-1), w U^t, w U^(t+1), which slides one power per step, read off the list or, past it,
+        built by `_power` for the tests (step 0 reads w alone).  Every class is a unit, never 0."""
+        b, powers, listed, mask, power = self._block, self._powers, len(self._powers), self._period - 1, self._power
+        (z0, z1), (a0, a1) = power(s - 1) if s else (0, 0), power(s)
+        for t in count(s):
+            r = t + 1 & mask
+            y0, y1 = powers[r] if r < listed else power(t + 1)
+            least = (a0 | a1).bit_length()  # (t, 0, 0)
+            if t:  # (t, 0, 1), (t - 1, 1, 0) and, from t = 2, (t - 1, 1, 1)
+                fourth = (z0 | z1 ^ (z0 ^ a0) << b).bit_length() if t >= 2 else least
+                least = min(least, (a0 | a1 ^ y0 << b).bit_length(), (z0 | z1 ^ z0 << b).bit_length(), fourth)
+            yield (least - 1) // b
+            z0, z1, a0, a1 = a0, a1, y0, y1
+
+    def _running_min(self, t: int) -> Iterator[int]:
+        """The least top degree over the keys of steps 0 .. u, for u = t, t + 1, ...: memoised in `_min_tops`."""
+        tops = self._min_tops
+        yield from tops[t:]
+        least, append = tops[-1] if tops else self.ring.top_degree, tops.append  # every top degree is <= dim
+        for u, top in enumerate(self._step_tops(len(tops)), len(tops)):
+            least = top if top < least else least
+            append(least)
+            if u >= t:
+                yield least
 
     def class_failure_degree(self, key: Key, allowed: int) -> int | None:
         """The class's lowest degree above `allowed`, or None if it has none."""
@@ -339,14 +367,7 @@ class VirtualSwSearch:
         dim = self.ring.top_degree
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= k <= dim = {dim}, got k = {k}")
-        return self._min_top(min(k, self._period + 1)) > dim - k  # no new residue after step 2^L + 1
-
-    def _min_top(self, t: int) -> int:
-        """The least top degree over the keys of steps 0 .. t, memoised."""
-        tops = self._min_tops
-        while len(tops) <= t:  # each step's top degrees enter the running minimum once
-            tops.append(min(tops[-1:] + self._key_tops(len(tops))))
-        return tops[t]
+        return next(self._running_min(min(k, self._period + 1))) > dim - k  # no new residue after step 2^L + 1
 
     def first_ruled_out(self) -> int | None:
         """The smallest ruled-out k, or None if no k <= dim is ruled out.
@@ -355,9 +376,12 @@ class VirtualSwSearch:
         classes vanishes above dim - k - 1, then times (1 + x_(k+1)) it vanishes
         above dim - k, so dropping that class gives a passing k-multiset.
         """
-        dim, last = self.ring.top_degree, min(self.ring.top_degree, self._period + 1)
-        firsts = (k for k in range(1, last + 1) if self._min_top(k) > dim - k)
-        first = next(firsts, None) or dim - self._min_top(last) + 1  # past step 2^L + 1 the minimum is final
+        dim = least = self.ring.top_degree  # every top degree is <= dim, so k = 0 is never ruled out
+        for k, top in zip(range(min(dim, self._period + 1) + 1), self._step_tops(0)):  # the running minimum
+            least = top if top < least else least
+            if least > dim - k:
+                return k
+        first = dim - least + 1  # past step 2^L + 1 the minimum is final
         return first if first <= dim else None
 
     def upper_bound(self) -> int:

@@ -25,7 +25,7 @@ def nu(k: int) -> int:
 
 
 class Record:
-    """Base of the immutable records: no attribute can be assigned, and records equal
+    """Base of the immutable records: no attribute can be assigned or deleted, and records equal
     (only records of the same type), hash and print by the fields named in `_fields`.
     Each `__init__` stores its fields inline, by `object.__setattr__` when slotted and
     `vars(self).update` when not: a shared store helper slowed the obstruction scan."""
@@ -38,6 +38,9 @@ class Record:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._key() == other._key()

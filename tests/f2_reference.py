@@ -7,7 +7,7 @@ classes built by ring products (`ring_product_degrees`) or by the closed form
 (`closed_form_degrees`).  `unperiodic_rule_out` is the key scan without the
 period lemma: the running minimum over every step s <= k, on classes built
 from w U^s for every s (`unperiodic_powers`), and `class_top_degree` reads one
-key's class at a time, the reference for `VirtualSwSearch._key_tops`.
+key's class at a time, the reference for `VirtualSwSearch._step_tops`.
 """
 
 from wallspan.f2cohomology import GradedF2Poly, VirtualSwSearch, _new_keys, total_sw_wall, wall_presentation

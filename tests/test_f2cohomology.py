@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import accumulate, count, islice, product
 from math import comb
 
 import pytest
@@ -395,9 +395,9 @@ def test_rule_out_reads_every_residue_through_step_period_plus_one():
         search = VirtualSwSearch(p)
         dim = search.ring.top_degree
         assert search._period == 8 and dim == 15
-        search._key_tops = lambda s, passing=passing: [
-            0 if (t % 8, p1, p3) == passing else dim for t, p1, p3 in _new_keys(s)
-        ]
+        search._step_tops = lambda s, passing=passing: (
+            min(0 if (t % 8, p1, p3) == passing else dim for t, p1, p3 in _new_keys(u)) for u in count(s)
+        )
         first = min(sum(t) for t in triples if ((t[1] + t[2]) % 8, t[0] & 1, t[2] & 1) == passing)
         assert first == {(0, 0, 1): 8, (0, 1, 1): 9}.get(passing, first)
         assert [search.ruled_out(k) for k in range(1, 12)] == [k < first for k in range(1, 12)], passing
@@ -405,10 +405,24 @@ def test_rule_out_reads_every_residue_through_step_period_plus_one():
 
 @pytest.mark.parametrize("m,n", [(1, 0), (2, 2), (3, 5), (4, 5), (7, 3), (16, 2)])
 def test_key_tops_match_the_per_key_classes(m, n):
-    # the seam against each key's class built on its own, over three periods
+    # the seam against each key's class built on its own, over three periods, read from
+    # step 0 and from steps mid-way, as the running minimum resumes it
     search = VirtualSwSearch(WallParams(m, n))
-    for s in range(3 * search._period):
-        assert search._key_tops(s) == [class_top_degree(search, key) for key in _new_keys(s)], s
+    period = search._period
+    tops = [min(class_top_degree(search, key) for key in _new_keys(s)) for s in range(3 * period)]
+    for start in (0, 1, 2, period - 1, period, period + 1):
+        assert list(islice(search._step_tops(start), 3 * period - start)) == tops[start:], start
+
+
+def test_running_min_matches_the_per_key_classes():
+    # the running minimum over three periods against the step-wise minimum of each
+    # key's class built on its own
+    for m in range(1, 17):
+        for n in range(64):
+            search = VirtualSwSearch(WallParams(m, n))
+            steps = 3 * search._period
+            tops = [min(class_top_degree(search, key) for key in _new_keys(s)) for s in range(steps)]
+            assert list(islice(search._running_min(0), steps)) == list(accumulate(tops, min)), (m, n)
 
 
 def test_period_lemma():
@@ -444,18 +458,23 @@ def test_powers_and_bound_at_the_period_edges():
 @pytest.mark.parametrize("m,n", [(16, 255), (100, 7)])
 def test_scan_multiplies_one_factor_per_power(monkeypatch, m, n):
     # w U^s = w U^(s+1) (1 + c): building the search and deciding every k multiplies
-    # at most 2^L + L factors 1 + c^t past w(Q), where a times-U step takes L per power
+    # at most 2^L + L factors 1 + c^t past w(Q), where a times-U step takes L per power.
+    # Each factor, in `times_one_plus_c` or in a loop, reads the wrap mask of `_c_step` once
     p = WallParams(m, n)
     w, factors = total_sw_wall(p), []
-    times_one_plus_c = WallRing.times_one_plus_c
+    c_step = WallRing._c_step
 
-    def counted(self, h0, h1, ts):
-        ts = list(ts)
-        factors.extend(ts)
-        return times_one_plus_c(self, h0, h1, ts)
+    class CountedMask(int):
+        def __rand__(self, other):  # h & mask, as the subclass's reflected method comes first
+            factors.append(1)
+            return other & int(self)
+
+    def counted(self, t):
+        shift, keep, wrap = c_step(self, t)
+        return shift, keep, CountedMask(wrap)
 
     monkeypatch.setattr(f2cohomology, "total_sw_wall", lambda params: w)
-    monkeypatch.setattr(WallRing, "times_one_plus_c", counted)
+    monkeypatch.setattr(WallRing, "_c_step", counted)
     search = VirtualSwSearch(p)
     assert search.upper_bound() == min(p.dim, m - 1 + 2 ** (nu(n + 1) + 1))
     period = search._period
@@ -478,6 +497,22 @@ def test_scan_computes_one_period_of_powers():
     # deciding every k <= dim = 527 rules nothing out, from w U^s for s < 2^L = 32 only
     search = VirtualSwSearch(WallParams(16, 255))
     assert search.first_ruled_out() is None and len(search._powers) <= search._period == 32
+
+
+def test_power_list_length_costs_time_not_the_answer():
+    # `_power` builds every residue past the list, so a search whose list is cut to
+    # w and w U decides every k, and the bound, as the full one does
+    def cut(p):
+        search = VirtualSwSearch(p)
+        search._powers = search._powers[:2]
+        return search
+
+    for m in range(1, 9):
+        for n in range(40):
+            p = WallParams(m, n)
+            full, short, ks = VirtualSwSearch(p), cut(p), range(1, p.dim + 1)
+            assert [short.ruled_out(k) for k in ks] == [full.ruled_out(k) for k in ks], (m, n)
+            assert cut(p).upper_bound() == VirtualSwSearch(p).upper_bound(), (m, n)
 
 
 def test_sw_upper_bound_closed_form():
@@ -544,7 +579,9 @@ def test_first_ruled_out_reads_the_minimum_after_step_period_plus_one():
     # ruled out, and the final minimum 2 gives the first ruled-out k = 15 - 2 + 1
     search = VirtualSwSearch(WallParams(4, 5))
     assert search._period == 8 and search.ring.top_degree == 15
-    search._key_tops = lambda s: [2 if (t % 8, p1, p3) == (0, 1, 1) else 5 for t, p1, p3 in _new_keys(s)]
+    search._step_tops = lambda s: (
+        min(2 if (t % 8, p1, p3) == (0, 1, 1) else 5 for t, p1, p3 in _new_keys(u)) for u in count(s)
+    )
     assert search.first_ruled_out() == 14
     assert [search.ruled_out(k) for k in range(1, 16)] == [k >= 14 for k in range(1, 16)]
 
@@ -553,20 +590,22 @@ def test_first_ruled_out_reads_one_period_of_steps(monkeypatch):
     # at (1, 2^16 - 1), dim = 2^17 and nothing is ruled out: the decision reads the
     # steps 0 .. 2^L + 1 once each and asks ruled_out about no k
     calls = Counter()
-    key_tops, ruled_out = VirtualSwSearch._key_tops, VirtualSwSearch.ruled_out
+    step_tops, ruled_out = VirtualSwSearch._step_tops, VirtualSwSearch.ruled_out
 
-    def counted(name, method):
-        def wrapper(self, arg):
-            calls[name] += 1
-            return method(self, arg)
+    def counted_steps(self, s):
+        for top in step_tops(self, s):
+            calls["_step_tops"] += 1
+            yield top
 
-        return wrapper
+    def counted_ruled_out(self, k):
+        calls["ruled_out"] += 1
+        return ruled_out(self, k)
 
-    monkeypatch.setattr(VirtualSwSearch, "_key_tops", counted("_key_tops", key_tops))
-    monkeypatch.setattr(VirtualSwSearch, "ruled_out", counted("ruled_out", ruled_out))
+    monkeypatch.setattr(VirtualSwSearch, "_step_tops", counted_steps)
+    monkeypatch.setattr(VirtualSwSearch, "ruled_out", counted_ruled_out)
     search = VirtualSwSearch(WallParams(1, 2**16 - 1))
     assert search.first_ruled_out() is None
-    assert 0 < calls["_key_tops"] <= search._period + 2 and calls["ruled_out"] == 0
+    assert 0 < calls["_step_tops"] <= search._period + 2 and calls["ruled_out"] == 0
 
 
 def test_sw_upper_bound_values():

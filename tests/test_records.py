@@ -1,4 +1,4 @@
-"""The records' shared contract: a field cannot be assigned, and equal records
+"""The records' shared contract: a field cannot be assigned or deleted, and equal records
 compare and hash equal (hashing only where every field is hashable).  The five
 value records get it from `invariants.Record`; the array batches are NamedTuples."""
 
@@ -45,8 +45,17 @@ def test_records_are_immutable_values(name):
         assert hash(record) == hash(equal)
 
 
+@pytest.mark.parametrize("name", [record.__name__ for record in RECORDS])
+def test_records_refuse_deletion(name):
+    # a deleted field would leave a record whose equality, hash and repr raise
+    record, equal, _, field = _cases()[name]
+    with pytest.raises(AttributeError, match=re.escape(f"{name} is immutable: cannot delete {field!r}")):
+        delattr(record, field)
+    assert record == equal and hash(record) == hash(equal) and repr(record) == repr(equal)
+
+
 def test_only_the_base_defines_the_contract():
-    contract = {"__setattr__", "__eq__", "__hash__", "_key"}
+    contract = {"__setattr__", "__delattr__", "__eq__", "__hash__", "_key"}
     assert contract <= vars(Record).keys()
     for cls in RECORDS:
         assert issubclass(cls, Record) and not contract & vars(cls).keys(), cls
