@@ -25,7 +25,6 @@ from .clifford import (
 )
 from .f2cohomology import (
     GradedF2Poly,
-    VirtualSwSearch,
     WallRing,
     sw_upper_bound,
     total_sw_wall,

@@ -23,7 +23,7 @@ import time
 from typing import NamedTuple
 
 from .clifford import build_family
-from .f2cohomology import VirtualSwSearch
+from .f2cohomology import certified_bound, total_sw_wall
 from .harness import CampaignConfig, CampaignResult, clifford_section, run_campaign
 from .invariants import WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
@@ -151,7 +151,8 @@ def criterion_rule_out_even() -> CriterionResult:
     bad = []
     for m in RULE_OUT_M_VALUES:
         for n in RULE_OUT_N_VALUES:
-            if not VirtualSwSearch(WallParams(m, n)).ruled_out(m + 2):
+            bound, *_, certified = certified_bound(total_sw_wall(WallParams(m, n)))
+            if not (certified and bound == m + 1):  # d^J in w(Q) rules out bound + 1 = m + 2
                 bad.append(f"({m},{n}) k={m + 2} not ruled out")
     elapsed = time.perf_counter() - start
     passed = not bad and elapsed < RULE_OUT_BUDGET_S

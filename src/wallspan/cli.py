@@ -51,12 +51,12 @@ def validated(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 
 def refuse_oversized(cases: Sequence[WallParams], samples: int = 0) -> None:
-    """Raise a UsageError naming the size if a case plans over MEMORY_LIMIT bytes: up to 2^L + 4 obstruction
-    classes of two (dim + 2)(m + 1)-bit ints, w(Q) at ~300 bytes a monomial (each d-exponent a sum of binary
-    digits of n + 1) and, with samples, ~5 S + 2 float64 copies of a sample's tangent matrix."""
+    """Raise a UsageError naming the size if a case plans over MEMORY_LIMIT bytes: L + 24 ints of (dim + 2)(m + 1)
+    bits, 2^L > m + 1, for `certified_bound`'s classes, masks and temporaries; w(Q) at ~300 bytes a monomial (a
+    d-exponent sums binary digits of n + 1); with samples, ~5 S + 2 float64 copies of a sample's tangent matrix."""
     for p in cases:
         m1, n1 = p.m + 1, p.n + 1
-        need = ((1 << m1.bit_length()) + 4) * (p.dim + 2) * m1 // 4 + 600 * m1 * min(n1, 1 << n1.bit_count())
+        need = (m1.bit_length() + 24) * (p.dim + 2) * m1 // 8 + 600 * m1 * min(n1, 1 << n1.bit_count())
         need += 8 * p.delta * (2 * n1 + m1 + 2) * (5 * samples + 2) if samples else 0
         if need > MEMORY_LIMIT:
             raise UsageError(

@@ -33,9 +33,7 @@ for the final minimum T.  As w U^s = w (1 + c)^(2^L - s), `VirtualSwSearch` list
 the w U^r the scan reads, r <= R = min(dim + 1, 2^L - 1, B + 2), B the bound below,
 one factor 1 + c apart from w U^R, which takes one factor 1 + c^(2^t) per binary
 digit 2^t of 2^L - R: at most 2^L + L factors, 2^L <= 2(m + 1).  Step k reads up to
-w U^(k+1); `first_ruled_out` reads no step past B + 1, criterion 5 none past m + 2,
-the report's key (m + 2^nu, 0, 1) w U^(m + 2^nu + 1), and `_power` builds what
-the tests read past R.  Only perfbench and tests call `rule_out`.
+w U^(k+1), `first_ruled_out` none past B + 1; `_power` builds what tests read past R.
 
 The bound is at most m - 1 + 2^(nu+1), nu = nu(n + 1), for every (m, n).  Sending
 x and c to 0 and d to d kills x^2, c^(m+1) - c^m x and d^(n+1), so it is a ring
@@ -64,6 +62,10 @@ the terms J < j <= n dropping out as C(n+1, j) is even there (Lucas, as above).
 The j = J term is d^J, in degree 2J, and a term j < J has degree at most
 2j + (J - j) < 2J.  So the class vanishes above 2J = dim - B: k = B is not ruled
 out, and by the monotonicity in `first_ruled_out` no smaller k is either.
+
+So the two witnesses decide the bound: `certified_bound` checks them on the ring
+for the reports, `sw_upper_bound` and criterion 5.  The scan is the tests' and CI's
+cross-check; it stays here only while the benchmark's tracer wraps `rule_out` by name.
 
 The tests check the ring against sympy's Groebner reduction, a hand expansion
 of free monomials and the fibre restriction w(CP^n) = (1 + a)^(n+1), read off
@@ -398,13 +400,30 @@ class VirtualSwSearch:
         return RuleOutResult(k, ruled_out, allowed, witnesses)
 
 
+def proved_witnesses(m: int, n: int) -> tuple[int, Key, int | None]:
+    """(B, key, J) of Q(m, n): B = m - 1 + 2^(nu+1) = dim - 2J, formed here alone, and its witnesses (module
+    docstring): the key (m + 2^nu, 0, 1), admissible at B, and J = n + 1 - 2^nu, whose d^J rules out B + 1."""
+    low = n + 1 & -(n + 1)  # 2^nu, the lowest binary digit of n + 1
+    return m - 1 + 2 * low, (m + low, 0, 1), n + 1 - low or None  # J = None, and B = dim, if n + 1 = 2^nu
+
+
+def certified_bound(w: GradedF2Poly) -> tuple[int, Key, int, int | None, bool]:
+    """(bound, key, top, J, certified) of w = w(Q(m, n)), (m, n) from its ring: `proved_witnesses`, the top degree
+    of the key's class w U^s + x w U^(s+1), w U^(s+1) = w (1 + c)^(-(s+1) mod 2^L), and whether the key takes at
+    most `bound` classes, its class vanishes above dim - bound and, unless bound = dim, d^J rules out bound + 1."""
+    ring, dim, b = w.ring, w.ring.top_degree, w.ring.block
+    bound, key, big_j = proved_witnesses(ring.m, ring.n)
+    e = -(key[0] + 1) % (1 << b.bit_length())  # 2^L > m + 1, as U^(2^L) = 1
+    y0, y1 = ring.times_one_plus_c(w.h0, w.h1, [1 << t for t in range(e.bit_length()) if e >> t & 1])
+    h0, h1 = ring.times_one_plus_c(y0, y1, (1,))
+    top = ((h0 | h1 ^ y0 << b).bit_length() - 1) // b  # times x moves h0 up one block into h1
+    ruled_out = bound == dim or big_j is not None and 2 * big_j > dim - bound - 1 and w.h0 >> 2 * big_j * b & 1 == 1
+    return bound, key, top, big_j, key[0] <= bound and top <= dim - bound and ruled_out
+
+
 def sw_upper_bound(p: WallParams) -> int:
-    """The bound on pspan(Q(m, n)) the mod-2 obstruction certifies, see `VirtualSwSearch.upper_bound`."""
-    return VirtualSwSearch(p).upper_bound()
-
-
-def proved_witnesses(p: WallParams) -> tuple[Key, int | None]:
-    """The witnesses of B = m - 1 + 2^(nu+1), see the module docstring: the key (m + 2^nu, 0, 1), admissible
-    at B, and J = n + 1 - 2^nu, whose d^J in w(Q) rules out B + 1, or None if B = dim (n + 1 = 2^nu)."""
-    low = 1 << p.nu  # 2^nu, the lowest binary digit of n + 1
-    return (p.m + low, 0, 1), (p.n + 1 - low) or None
+    """The mod-2 bound on pspan(Q(m, n)) of `certified_bound`; an ArithmeticError if the ring does not certify it."""
+    bound, *_, certified = certified_bound(total_sw_wall(p))
+    if not certified:
+        raise ArithmeticError(f"the two witnesses do not certify the mod-2 bound {bound} of Q({p.m}, {p.n})")
+    return bound

@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 
 from . import fields as fl
 from .clifford import CliffordFamily, build_family, verify_family
-from .f2cohomology import GradedF2Poly, VirtualSwSearch, proved_witnesses, render_monomial
+from .f2cohomology import GradedF2Poly, certified_bound, render_monomial, total_sw_wall
 from .invariants import Record, WallParams, nu, pspan_wall, sspan_cpn, upper_bound_fibration
 
 SCHEMA_VERSION = 3
@@ -144,16 +144,11 @@ def total_sw_json(w: GradedF2Poly) -> dict[str, Any]:
 
 
 def obstruction_check(params: WallParams, pspan: int) -> dict[str, Any]:
-    """A case's `cohomology` section, also `wallspan cohomology`'s: w(Q), the scan's bound, the two
-    `proved_witnesses` and three checks.  The witnesses certify the bound if the key is reachable by `bound`
-    classes, its class vanishes above dim - bound, and, unless bound = dim, d^J in w(Q) rules out bound + 1."""
-    search, dim = VirtualSwSearch(params), params.dim
-    bound, (key, big_j) = search.upper_bound(), proved_witnesses(params)
-    top = search.virtual_class((0, key[0] - 1, 1)).degrees()[-1]  # k2 = s - 1 copies of c, k3 = 1 of x + c
-    in_w = big_j is not None and (0, 0, big_j) in search.w.component(2 * big_j).monos
-    certified = key[0] <= bound and top <= dim - bound and (bound == dim or in_w and 2 * big_j > dim - bound - 1)
+    """A case's `cohomology` section, also `wallspan cohomology`'s: w(Q), `certified_bound` and three checks."""
+    w, dim = total_sw_wall(params), params.dim
+    bound, key, top, big_j, certified = certified_bound(w)
     return {
-        **total_sw_json(search.w),
+        **total_sw_json(w),
         "swUpperBound": bound,
         "ruledOutAtK": bound + 1 if bound < dim else None,
         "admissibleWitness": {"key": list(key), "topDegree": top},
@@ -167,7 +162,7 @@ def obstruction_check(params: WallParams, pspan: int) -> dict[str, Any]:
             _check(
                 "top_degree_sw_vanishes",
                 "w_dim(Q) = 0 (the mod-2 Euler class of a mapping torus vanishes)",
-                search.w.component(dim).is_zero(),
+                w.component(dim).is_zero(),
             ),
             _check(
                 "witnesses_certify_bound",

@@ -372,6 +372,7 @@ def test_rule_out_matches_triple_loop_at_every_k(m):
 def test_rule_out_matches_triple_loop_through_the_first_ruled_out_k(m, n):
     # every admissible k, the first ruled-out k and two more
     search = VirtualSwSearch(WallParams(m, n))
+    assert search.upper_bound() == sw_upper_bound(WallParams(m, n))
     last = min(sw_upper_bound(WallParams(m, n)) + 3, search.ring.top_degree)
     assert_witnesses_match_multisets(search, closed_form_degrees(search), last)
 
@@ -453,6 +454,7 @@ def test_powers_and_bound_at_the_period_edges():
                 powers = unperiodic_powers(p, period)
                 assert [search._power(s) for s in range(period)] == powers, (m, n)
                 assert sw_upper_bound(p) == min(p.dim, m - 1 + 2 ** (nu(n + 1) + 1)), (m, n)
+                assert search.upper_bound() == min(p.dim, m - 1 + 2 ** (nu(n + 1) + 1)), (m, n)
 
 
 @pytest.mark.parametrize("m,n", [(16, 255), (100, 7)])
@@ -516,10 +518,16 @@ def test_power_list_length_costs_time_not_the_answer():
 
 
 def test_sw_upper_bound_closed_form():
-    # the scan's bound is m - 1 + 2^(nu(n+1) + 1) over the whole grid
+    # the witnesses' bound and the scan's are m - 1 + 2^(nu(n+1) + 1) over the whole grid;
+    # the scan cross-checks certified_bound, whose key's top degree is that of the scan's own class
     for m in range(1, 13):
         for n in range(64):
+            search = VirtualSwSearch(WallParams(m, n))
             assert sw_upper_bound(WallParams(m, n)) == m - 1 + 2 ** (nu(n + 1) + 1), (m, n)
+            assert search.upper_bound() == m - 1 + 2 ** (nu(n + 1) + 1), (m, n)
+            bound, key, top, big_j, certified = f2cohomology.certified_bound(search.w)
+            assert certified and bound == search.upper_bound(), (m, n)
+            assert top == class_top_degree(search, key) and big_j == (n + 1 - 2 ** nu(n + 1) or None), (m, n)
 
 
 def test_fibre_coefficients_follow_lucas():
@@ -537,6 +545,7 @@ def test_fibre_coefficients_follow_lucas():
                 assert {j for e, i, j in monos if e == i == 0} == lucas, (m, n, key)
             big_j = n + 1 - 2 ** nu(n + 1)
             assert max(lucas) == big_j and sw_upper_bound(p) <= p.dim - 2 * big_j, (m, n)
+            assert search.upper_bound() <= p.dim - 2 * big_j, (m, n)
 
 
 def test_witness_key_proves_the_bound():
@@ -645,4 +654,5 @@ def test_obstruction_scan_one_path():
     # k = 4 is the first ruled-out k, and every larger k is ruled out too
     assert [search.ruled_out(k) for k in range(1, p.dim + 1)] == [False, False, False, True, True, True, True]
     assert search.first_ruled_out() - 1 == sw_upper_bound(p) == 3
+    assert search.upper_bound() == 3
     assert search.w == total_sw_wall(p)

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from clifford_reference import duplicate_word, times_i
+from f2_reference import power
 from wallspan import cli, f2cohomology, fields, harness
+from wallspan.acceptance import criterion_rule_out_even
 from wallspan.cli import main, parse_int_spec
 from wallspan.clifford import build_family
 from wallspan.harness import (
@@ -298,17 +300,46 @@ def test_cli_cohomology_golden(capsys, m, n, fmt):
 
 @pytest.mark.parametrize("m,n", [(4, 5), (1, 255)])
 def test_case_and_cohomology_call_no_witness_scan(capsys, monkeypatch, m, n):
-    # both reports take their witnesses from proved_witnesses and the ring, not
-    # from the 4k-key scan that rule_out and class_failure_degree run
-    def refuse(*args):
-        raise AssertionError("the witness scan ran")
+    # both reports, sw_upper_bound and criterion 5 decide the bound by certified_bound's two
+    # witnesses on the ring: none builds a VirtualSwSearch, so none runs its scan or rule_out
+    def refuse(self, p):
+        raise AssertionError("a VirtualSwSearch was built")
 
-    for name in ("rule_out", "class_failure_degree"):
-        monkeypatch.setattr(f2cohomology.VirtualSwSearch, name, refuse)
+    monkeypatch.setattr(f2cohomology.VirtualSwSearch, "__init__", refuse)
     record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
     assert record["passed"]
     assert main(["cohomology", "--m", str(m), "--n", str(n), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["witnessesCertifyBound"] is True
+    assert f2cohomology.sw_upper_bound(WallParams(m, n)) == record["cohomology"]["swUpperBound"]
+    assert criterion_rule_out_even().passed
+
+
+def _x_part_dropped(p):
+    w = f2cohomology.total_sw_wall(p)
+    return f2cohomology.GradedF2Poly(w.ring, w.h0, 0)
+
+
+def _one_plus_c_for_one_plus_c_plus_x(p):
+    ring = f2cohomology.wall_presentation(p.m, p.n)
+    one, c, d = ring.one(), ring.gen("c"), ring.gen("d")
+    return power(one + c, p.m) * power(one + c + d, p.n + 1)  # (1 + c) (1 + c)^(m-1) (1 + c + d)^(n+1)
+
+
+@pytest.mark.parametrize("mutant", [_x_part_dropped, _one_plus_c_for_one_plus_c_plus_x])
+def test_mutated_total_class_is_not_certified(capsys, monkeypatch, mutant):
+    # the ring must produce both witnesses: from a wrong w(Q), sw_upper_bound raises,
+    # witnesses_certify_bound fails and cohomology exits 1, on every case of m <= 8, n < 40
+    mutated = {WallParams(m, n): mutant(WallParams(m, n)) for m in range(1, 9) for n in range(40)}
+    monkeypatch.setattr(f2cohomology, "total_sw_wall", mutated.__getitem__)
+    monkeypatch.setattr(harness, "total_sw_wall", mutated.__getitem__)
+    for p in mutated:
+        with pytest.raises(ArithmeticError, match=rf"of Q\({p.m}, {p.n}\)$"):
+            f2cohomology.sw_upper_bound(p)
+        checks = {c["name"]: c["passed"] for c in harness.obstruction_check(p, p.delta)["checks"]}
+        assert checks["witnesses_certify_bound"] is False, (p.m, p.n)
+    for m, n in ((2, 2), (4, 5), (1, 11), (3, 7)):
+        assert main(["cohomology", "--m", str(m), "--n", str(n)]) == 1
+        assert "NOT certified by the witnesses" in capsys.readouterr().out
 
 
 def test_obstruction_check_reports_the_proved_witnesses():
@@ -331,11 +362,16 @@ def test_obstruction_check_reports_the_proved_witnesses():
 @pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("m,n", [(1, 11), (2, 2), (1, 1), (3, 6)])
 def test_shifted_bound_fails_the_witness_check(capsys, monkeypatch, m, n, shift):
-    # the scan and the proof pin each other: a bound of B - 1 or B + 1 fails
+    # the ring pins the bound that proved_witnesses forms: a bound of B - 1 or B + 1 fails
     # witnesses_certify_bound, the case's passed and the cohomology exit code;
     # at (1, 11) B - 1 = 7 is still >= pspan = 6, so only the witness check fails
-    upper_bound = f2cohomology.VirtualSwSearch.upper_bound
-    monkeypatch.setattr(f2cohomology.VirtualSwSearch, "upper_bound", lambda self: upper_bound(self) + shift)
+    proved = f2cohomology.proved_witnesses
+
+    def shifted(m, n):
+        bound, key, big_j = proved(m, n)
+        return bound + shift, key, big_j
+
+    monkeypatch.setattr(f2cohomology, "proved_witnesses", shifted)
     record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
     checks = {c["name"]: c["passed"] for c in record["cohomology"]["checks"]}
     assert checks["witnesses_certify_bound"] is False and record["passed"] is False
@@ -352,13 +388,13 @@ def test_shifted_bound_fails_the_witness_check(capsys, monkeypatch, m, n, shift)
 def test_unreachable_witness_key_fails_the_witness_check(monkeypatch, m, n):
     # the key (m + 2^nu + 2^L, 0, 1) has the residue, so the class and top degree, of the
     # proved key, but takes more classes than the bound: only key[0] <= bound can fail
-    proved = harness.proved_witnesses
+    proved = f2cohomology.proved_witnesses
 
-    def shifted(p):
-        (s, p1, p3), big_j = proved(p)
-        return (s + (1 << (p.m + 1).bit_length()), p1, p3), big_j
+    def shifted(m, n):
+        bound, (s, p1, p3), big_j = proved(m, n)
+        return bound, (s + (1 << (m + 1).bit_length()), p1, p3), big_j
 
-    monkeypatch.setattr(harness, "proved_witnesses", shifted)
+    monkeypatch.setattr(f2cohomology, "proved_witnesses", shifted)
     record, _ = run_case(m, n, CampaignConfig(m_values=(m,), n_values=(n,), samples_per_case=2))
     section = record["cohomology"]
     assert section["admissibleWitness"]["topDegree"] == 2 * (n + 1 - 2 ** nu(n + 1)), (m, n)
@@ -620,11 +656,31 @@ def test_shipped_inputs_plan_under_the_memory_limit():
     # the default grid, the largest test and CI inputs stay under cli.MEMORY_LIMIT
     defaults = CampaignConfig()
     grid = [(m, n, defaults.samples_per_case) for m in defaults.m_values for n in defaults.n_values]
-    ci = [(16, 255, 20), (16, 255, 0), (1, 4095, 0), (1, 24575, 0), (12, 63, 0)]
+    ci = [(16, 255, 20), (16, 255, 0), (1, 4095, 0), (1, 24575, 0), (12, 63, 0), (2000, 7, 0)]
     for m, n, samples in grid + ci:
         cli.refuse_oversized([WallParams(m, n)], samples)
-    with pytest.raises(cli.UsageError, match=r"Q\(1000000, 3\) needs ~2.441e\+08 GiB, over the 1 GiB limit"):
+    with pytest.raises(cli.UsageError, match=r"Q\(1000000, 3\) needs ~5123 GiB, over the 1 GiB limit"):
         cli.refuse_oversized([WallParams(1, 0), WallParams(1000000, 3)])
+
+
+def test_cohomology_plan_covers_its_traced_peak(capsys, monkeypatch):
+    # the decision keeps L + 24 ints of (dim + 2)(m + 1) bits, not 2^L + 4 classes: the plan
+    # is at least the traced peak, and (2000, 7), once planned at ~1.9 GiB, now runs
+    for m, n in ((1000, 7), (2000, 7), (300, 100)):
+        p = WallParams(m, n)
+        tracemalloc.start()
+        try:
+            harness.obstruction_check(p, p.delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cli.refuse_oversized([p])
+        monkeypatch.setattr(cli, "MEMORY_LIMIT", peak - 1)
+        with pytest.raises(cli.UsageError):
+            cli.refuse_oversized([p])
+        monkeypatch.undo()
+    assert main(["cohomology", "--m", "2000", "--n", "7", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["swUpperBound"] == 2015  # dim, as n + 1 = 8 is a power of 2
 
 
 def test_run_case_memory_peak():
